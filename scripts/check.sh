@@ -43,6 +43,11 @@
 #      daemon the restarted incarnation must answer the same queries with
 #      --expect-store-hits (warm off disk, not recomputed), and the
 #      supervisor must forward SIGTERM and exit 0.
+#   9. Benchmark self-test: perfbench/ is its own CMake project outside
+#      ctest, so a renamed public name it calls (a Client::Call*, a codec
+#      function, a ServerStats field) would break it with ctest still green.
+#      `perfbench/run.py --self-test` builds it from this checkout (into
+#      .bench_build/) and runs its self-checks.
 # Any sanitizer report aborts the run (-fno-sanitize-recover=all), so a
 # green ctest means clean. Each stage prints its wall-clock on completion.
 #
@@ -215,3 +220,9 @@ wait "$SUPERVISE_PID"  # forwards to the daemon, drains, exits 0
 rm -f "$PORT_FILE" "$PID_FILE"
 rm -rf "$STORE_DIR"
 stage_done "supervisor kill-9 smoke (crash, restart, warm store hits)"
+
+# Benchmark self-test: build perfbench/ against this checkout and run its
+# self-checks (seeded request streams, workload mixes, quantile rules, and
+# metric names equal to BENCHMARK.json).
+python3 perfbench/run.py --self-test
+stage_done "benchmark self-test (perfbench builds and passes)"

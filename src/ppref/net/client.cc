@@ -65,97 +65,49 @@ StatusOr<Frame> Client::ReadFrame(std::uint64_t deadline_ns) {
   }
 }
 
-StatusOr<WireResponse> Client::Call(const WireRequest& request) {
+template <typename Response>
+StatusOr<Response> Client::Exchange(
+    FrameType type, std::uint64_t id, std::string_view body,
+    StatusOr<Response> (*decode)(std::string_view)) {
   const std::uint64_t deadline =
       internal_io::DeadlineAfterMs(options_.total_deadline_ms);
-  const std::string body = EncodeRequest(request);
-  Status written = WriteAll(EncodeFrame(FrameType::kRequest, body), deadline);
+  Status written = WriteAll(EncodeFrame(type, body), deadline);
   if (!written.ok()) return written;
   while (true) {
     StatusOr<Frame> frame = ReadFrame(deadline);
     if (!frame.ok()) return frame.status();
     if (frame->type == FrameType::kPong) continue;
-    if (frame->type != FrameType::kResponse) {
+    if (frame->type != PairedResponse(type)) {
       return Status::Internal("unexpected frame type from server");
     }
-    StatusOr<WireResponse> response = DecodeResponse(frame->body);
+    StatusOr<Response> response = decode(frame->body);
     if (!response.ok()) return response.status();
-    if (response->id != request.id) {
+    if (response->id != id) {
       return Status::Internal("response id mismatch");
     }
     return response;
   }
+}
+
+StatusOr<WireResponse> Client::Call(const WireRequest& request) {
+  return Exchange(FrameType::kRequest, request.id, EncodeRequest(request),
+                  DecodeResponse);
 }
 
 StatusOr<WireSweepResponse> Client::CallSweep(const WireSweepRequest& request) {
-  const std::uint64_t deadline =
-      internal_io::DeadlineAfterMs(options_.total_deadline_ms);
-  const std::string body = EncodeSweepRequest(request);
-  Status written =
-      WriteAll(EncodeFrame(FrameType::kSweepRequest, body), deadline);
-  if (!written.ok()) return written;
-  while (true) {
-    StatusOr<Frame> frame = ReadFrame(deadline);
-    if (!frame.ok()) return frame.status();
-    if (frame->type == FrameType::kPong) continue;
-    if (frame->type != FrameType::kSweepResponse) {
-      return Status::Internal("unexpected frame type from server");
-    }
-    StatusOr<WireSweepResponse> response = DecodeSweepResponse(frame->body);
-    if (!response.ok()) return response.status();
-    if (response->id != request.id) {
-      return Status::Internal("response id mismatch");
-    }
-    return response;
-  }
+  return Exchange(FrameType::kSweepRequest, request.id,
+                  EncodeSweepRequest(request), DecodeSweepResponse);
 }
 
 StatusOr<WireHardResponse> Client::CallHard(const WireHardRequest& request) {
-  const std::uint64_t deadline =
-      internal_io::DeadlineAfterMs(options_.total_deadline_ms);
-  const std::string body = EncodeHardRequest(request);
-  Status written =
-      WriteAll(EncodeFrame(FrameType::kHardRequest, body), deadline);
-  if (!written.ok()) return written;
-  while (true) {
-    StatusOr<Frame> frame = ReadFrame(deadline);
-    if (!frame.ok()) return frame.status();
-    if (frame->type == FrameType::kPong) continue;
-    if (frame->type != FrameType::kHardResponse) {
-      return Status::Internal("unexpected frame type from server");
-    }
-    StatusOr<WireHardResponse> response = DecodeHardResponse(frame->body);
-    if (!response.ok()) return response.status();
-    if (response->id != request.id) {
-      return Status::Internal("response id mismatch");
-    }
-    return response;
-  }
+  return Exchange(FrameType::kHardRequest, request.id,
+                  EncodeHardRequest(request), DecodeHardResponse);
 }
 
 StatusOr<WireConsensusResponse> Client::CallConsensus(
     const WireConsensusRequest& request) {
-  const std::uint64_t deadline =
-      internal_io::DeadlineAfterMs(options_.total_deadline_ms);
-  const std::string body = EncodeConsensusRequest(request);
-  Status written =
-      WriteAll(EncodeFrame(FrameType::kConsensusRequest, body), deadline);
-  if (!written.ok()) return written;
-  while (true) {
-    StatusOr<Frame> frame = ReadFrame(deadline);
-    if (!frame.ok()) return frame.status();
-    if (frame->type == FrameType::kPong) continue;
-    if (frame->type != FrameType::kConsensusResponse) {
-      return Status::Internal("unexpected frame type from server");
-    }
-    StatusOr<WireConsensusResponse> response =
-        DecodeConsensusResponse(frame->body);
-    if (!response.ok()) return response.status();
-    if (response->id != request.id) {
-      return Status::Internal("response id mismatch");
-    }
-    return response;
-  }
+  return Exchange(FrameType::kConsensusRequest, request.id,
+                  EncodeConsensusRequest(request), DecodeConsensusResponse);
 }
 
 Status Client::Ping() {

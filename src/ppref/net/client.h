@@ -95,6 +95,14 @@ class Client {
   Status WriteAll(std::string_view bytes, std::uint64_t deadline_ns);
   StatusOr<Frame> ReadFrame(std::uint64_t deadline_ns);
 
+  /// The exchange behind every Call*: sends `body` as a `type` frame, skips
+  /// interleaved pongs, and decodes the paired response frame
+  /// (PairedResponse), whose id must echo `id`.
+  template <typename Response>
+  StatusOr<Response> Exchange(FrameType type, std::uint64_t id,
+                              std::string_view body,
+                              StatusOr<Response> (*decode)(std::string_view));
+
   int fd_ = -1;
   Options options_;
   FrameAssembler assembler_;

@@ -28,6 +28,11 @@ class Writer {
   }
   void F64(double v) { U64(std::bit_cast<std::uint64_t>(v)); }
   void Bytes(std::string_view bytes) { out_.append(bytes); }
+  /// Overwrites the u32 at byte offset `at` (a length known only later).
+  void PatchU32(std::size_t at, std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) out_[at + i] = static_cast<char>(v >> (8 * i));
+  }
+  std::size_t size() const { return out_.size(); }
   std::string Take() { return std::move(out_); }
 
  private:
@@ -87,41 +92,45 @@ class Reader {
   std::size_t offset_ = 0;
 };
 
-Status Malformed(const char* what) {
-  return Status::InvalidArgument(std::string("malformed request body: ") +
-                                 what);
+Status Malformed(std::string_view what) {
+  return Status::InvalidArgument("malformed request body: " +
+                                 std::string(what));
 }
 
-}  // namespace
+/// The error of every response decoder; `what` names the body.
+Status Unreadable(std::string_view what) {
+  return Status::InvalidArgument("malformed " + std::string(what));
+}
 
-// ---------------------------------------------------------------------------
-// Request
-
-std::string EncodeRequest(const WireRequest& request) {
-  Writer w;
-  w.U64(request.id);
-  w.U8(static_cast<std::uint8_t>(request.kind));
-  w.U8(request.idempotency_key != 0 ? kRequestFlagIdempotencyKey : 0);
+/// Writes a standard request body: the one writer behind EncodeRequest and
+/// the base request every composite body embeds. Model and pattern are read
+/// in place.
+void WriteBase(Writer& w, std::uint64_t id, serve::Request::Kind kind,
+               std::uint64_t deadline_ns, std::uint64_t idempotency_key,
+               const infer::LabeledRimModel& labeled,
+               const infer::LabelPattern& pattern) {
+  w.U64(id);
+  w.U8(static_cast<std::uint8_t>(kind));
+  w.U8(idempotency_key != 0 ? kRequestFlagIdempotencyKey : 0);
   w.U8(0);
   w.U8(0);
-  w.U64(request.deadline_ns);
-  if (request.idempotency_key != 0) w.U64(request.idempotency_key);
+  w.U64(deadline_ns);
+  if (idempotency_key != 0) w.U64(idempotency_key);
 
-  const rim::RimModel& model = request.model.model();
+  const rim::RimModel& model = labeled.model();
   const unsigned m = model.size();
   w.U32(m);
   for (unsigned p = 0; p < m; ++p) w.U32(model.reference().At(p));
   for (unsigned t = 0; t < m; ++t) {
     for (double prob : model.insertion().Row(t)) w.F64(prob);
   }
-  const infer::ItemLabeling& labeling = request.model.labeling();
+  const infer::ItemLabeling& labeling = labeled.labeling();
   for (unsigned item = 0; item < m; ++item) {
     const std::vector<infer::LabelId>& labels = labeling.LabelsOf(item);
     w.U32(static_cast<std::uint32_t>(labels.size()));
     for (infer::LabelId label : labels) w.U32(label);
   }
 
-  const infer::LabelPattern& pattern = request.pattern;
   const unsigned nodes = pattern.NodeCount();
   w.U32(nodes);
   for (unsigned node = 0; node < nodes; ++node) w.U32(pattern.NodeLabel(node));
@@ -134,6 +143,89 @@ std::string EncodeRequest(const WireRequest& request) {
     w.U32(from);
     w.U32(to);
   }
+}
+
+/// Opens a composite body: its base request, a pattern_prob request body,
+/// behind a u32 length prefix.
+Writer WriteCompositeBase(std::uint64_t id, std::uint64_t deadline_ns,
+                          const infer::LabeledRimModel& model,
+                          const infer::LabelPattern& pattern) {
+  Writer w;
+  w.U32(0);  // base_len, patched once the base is written
+  WriteBase(w, id, serve::Request::Kind::kPatternProb, deadline_ns,
+            /*idempotency_key=*/0, model, pattern);
+  w.PatchU32(0, static_cast<std::uint32_t>(w.size() - 4));
+  return w;
+}
+
+/// Reads a composite body's length-prefixed base request under
+/// DecodeRequest's rules; `what` names the kind in error messages.
+StatusOr<WireRequest> ReadCompositeBase(Reader& r, const std::string& what) {
+  std::uint32_t base_len = 0;
+  std::string base;
+  if (!r.U32(&base_len) || !r.Bytes(base_len, &base)) {
+    return Malformed("truncated " + what + " base request");
+  }
+  StatusOr<WireRequest> decoded = DecodeRequest(base);
+  if (decoded.ok() && decoded->kind != serve::Request::Kind::kPatternProb) {
+    return Malformed(what + " base request kind must be pattern_prob");
+  }
+  return decoded;
+}
+
+/// Writes the status preamble every response body opens with: the echoed
+/// id, the status code, two flag bytes (zero for kinds without flags), a
+/// reserved zero byte, and the length-prefixed message.
+void WriteStatus(Writer& w, std::uint64_t id, const Status& status,
+                 bool flag_a = false, bool flag_b = false) {
+  w.U64(id);
+  w.U8(static_cast<std::uint8_t>(status.code()));
+  w.U8(flag_a ? 1 : 0);
+  w.U8(flag_b ? 1 : 0);
+  w.U8(0);
+  w.U32(static_cast<std::uint32_t>(status.message().size()));
+  w.Bytes(status.message());
+}
+
+/// Reads the status preamble; false when it is truncated or out of range (a
+/// code past kInternal, a flag above 1, a nonzero reserved byte).
+bool ReadStatus(Reader& r, std::uint64_t* id, Status* status, bool* flag_a,
+                bool* flag_b) {
+  std::uint8_t code = 0;
+  std::uint8_t flags[3] = {};
+  std::uint32_t message_len = 0;
+  std::string message;
+  if (!r.U64(id) || !r.U8(&code) || !r.U8(&flags[0]) || !r.U8(&flags[1]) ||
+      !r.U8(&flags[2]) || !r.U32(&message_len) ||
+      !r.Bytes(message_len, &message)) {
+    return false;
+  }
+  if (code > static_cast<std::uint8_t>(StatusCode::kInternal) ||
+      flags[0] > 1 || flags[1] > 1 || flags[2] != 0) {
+    return false;
+  }
+  *status = Status(static_cast<StatusCode>(code), std::move(message));
+  *flag_a = flags[0] != 0;
+  *flag_b = flags[1] != 0;
+  return true;
+}
+
+/// ReadStatus for the kinds whose flag bytes are reserved (must be zero).
+bool ReadStatus(Reader& r, std::uint64_t* id, Status* status) {
+  bool flag_a = false;
+  bool flag_b = false;
+  return ReadStatus(r, id, status, &flag_a, &flag_b) && !flag_a && !flag_b;
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// Request
+
+std::string EncodeRequest(const WireRequest& request) {
+  Writer w;
+  WriteBase(w, request.id, request.kind, request.deadline_ns,
+            request.idempotency_key, request.model, request.pattern);
   return w.Take();
 }
 
@@ -275,13 +367,8 @@ std::uint64_t PeekIdempotencyKey(std::string_view body) {
 
 std::string EncodeResponse(const WireResponse& response) {
   Writer w;
-  w.U64(response.id);
-  w.U8(static_cast<std::uint8_t>(response.status.code()));
-  w.U8(response.approximate ? 1 : 0);
-  w.U8(response.top_matching.has_value() ? 1 : 0);
-  w.U8(0);
-  w.U32(static_cast<std::uint32_t>(response.status.message().size()));
-  w.Bytes(response.status.message());
+  WriteStatus(w, response.id, response.status, response.approximate,
+              response.top_matching.has_value());
   w.F64(response.probability);
   w.F64(response.std_error);
   w.U64(response.retry_after_ns);
@@ -295,42 +382,25 @@ std::string EncodeResponse(const WireResponse& response) {
 StatusOr<WireResponse> DecodeResponse(std::string_view body) {
   Reader r(body);
   WireResponse response;
-  std::uint8_t code = 0;
-  std::uint8_t approximate = 0;
-  std::uint8_t has_matching = 0;
-  std::uint8_t reserved = 0;
-  std::uint32_t message_len = 0;
-  std::string message;
-  double probability = 0.0;
-  double std_error = 0.0;
-  if (!r.U64(&response.id) || !r.U8(&code) || !r.U8(&approximate) ||
-      !r.U8(&has_matching) || !r.U8(&reserved) || !r.U32(&message_len) ||
-      !r.Bytes(message_len, &message) || !r.F64(&probability) ||
-      !r.F64(&std_error) || !r.U64(&response.retry_after_ns)) {
-    return Status::InvalidArgument("malformed response body");
+  bool has_matching = false;
+  if (!ReadStatus(r, &response.id, &response.status, &response.approximate,
+                  &has_matching) ||
+      !r.F64(&response.probability) || !r.F64(&response.std_error) ||
+      !r.U64(&response.retry_after_ns)) {
+    return Unreadable("response body");
   }
-  if (code > static_cast<std::uint8_t>(StatusCode::kInternal) ||
-      approximate > 1 || has_matching > 1 || reserved != 0) {
-    return Status::InvalidArgument("malformed response body");
-  }
-  response.status = Status(static_cast<StatusCode>(code), std::move(message));
-  response.probability = probability;
-  response.std_error = std_error;
-  response.approximate = approximate != 0;
-  if (has_matching != 0) {
+  if (has_matching) {
     std::uint32_t match_len = 0;
     if (!r.U32(&match_len) || match_len > kMaxWireNodes) {
-      return Status::InvalidArgument("malformed response body");
+      return Unreadable("response body");
     }
     infer::Matching matching(match_len);
     for (std::uint32_t i = 0; i < match_len; ++i) {
-      if (!r.U32(&matching[i])) {
-        return Status::InvalidArgument("malformed response body");
-      }
+      if (!r.U32(&matching[i])) return Unreadable("response body");
     }
     response.top_matching = std::move(matching);
   }
-  if (!r.AtEnd()) return Status::InvalidArgument("malformed response body");
+  if (!r.AtEnd()) return Unreadable("response body");
   return response;
 }
 
@@ -338,15 +408,8 @@ StatusOr<WireResponse> DecodeResponse(std::string_view body) {
 // Sweep request / response
 
 std::string EncodeSweepRequest(const WireSweepRequest& request) {
-  // The base slice is a full standard request body so DecodeSweepRequest can
-  // delegate model/pattern validation to DecodeRequest verbatim.
-  std::string base =
-      EncodeRequest(WireRequest(request.id, serve::Request::Kind::kPatternProb,
-                                request.deadline_ns, request.model,
-                                request.pattern));
-  Writer w;
-  w.U32(static_cast<std::uint32_t>(base.size()));
-  w.Bytes(base);
+  Writer w = WriteCompositeBase(request.id, request.deadline_ns, request.model,
+                                request.pattern);
   w.U32(static_cast<std::uint32_t>(request.params.size()));
   for (const std::vector<double>& point : request.params) {
     w.U32(static_cast<std::uint32_t>(point.size()));
@@ -357,16 +420,8 @@ std::string EncodeSweepRequest(const WireSweepRequest& request) {
 
 StatusOr<WireSweepRequest> DecodeSweepRequest(std::string_view body) {
   Reader r(body);
-  std::uint32_t base_len = 0;
-  std::string base;
-  if (!r.U32(&base_len) || !r.Bytes(base_len, &base)) {
-    return Malformed("truncated sweep base request");
-  }
-  StatusOr<WireRequest> decoded = DecodeRequest(base);
+  StatusOr<WireRequest> decoded = ReadCompositeBase(r, "sweep");
   if (!decoded.ok()) return decoded.status();
-  if (decoded->kind != serve::Request::Kind::kPatternProb) {
-    return Malformed("sweep base request kind must be pattern_prob");
-  }
   const unsigned m = decoded->model.model().size();
 
   std::uint32_t point_count = 0;
@@ -395,20 +450,14 @@ StatusOr<WireSweepRequest> DecodeSweepRequest(std::string_view body) {
   }
   if (!r.AtEnd()) return Malformed("trailing bytes");
 
-  return WireSweepRequest(decoded->id, decoded->deadline_ns,
-                          std::move(decoded->model),
-                          std::move(decoded->pattern), std::move(params));
+  WireRequest& base = decoded.value();
+  return WireSweepRequest(base.id, base.deadline_ns, std::move(base.model),
+                          std::move(base.pattern), std::move(params));
 }
 
 std::string EncodeSweepResponse(const WireSweepResponse& response) {
   Writer w;
-  w.U64(response.id);
-  w.U8(static_cast<std::uint8_t>(response.status.code()));
-  w.U8(0);
-  w.U8(0);
-  w.U8(0);
-  w.U32(static_cast<std::uint32_t>(response.status.message().size()));
-  w.Bytes(response.status.message());
+  WriteStatus(w, response.id, response.status);
   w.U32(static_cast<std::uint32_t>(response.probabilities.size()));
   for (double p : response.probabilities) w.F64(p);
   return w.Take();
@@ -417,31 +466,18 @@ std::string EncodeSweepResponse(const WireSweepResponse& response) {
 StatusOr<WireSweepResponse> DecodeSweepResponse(std::string_view body) {
   Reader r(body);
   WireSweepResponse response;
-  std::uint8_t code = 0;
-  std::uint8_t reserved[3];
-  std::uint32_t message_len = 0;
-  std::string message;
   std::uint32_t count = 0;
-  if (!r.U64(&response.id) || !r.U8(&code) || !r.U8(&reserved[0]) ||
-      !r.U8(&reserved[1]) || !r.U8(&reserved[2]) || !r.U32(&message_len) ||
-      !r.Bytes(message_len, &message) || !r.U32(&count)) {
-    return Status::InvalidArgument("malformed sweep response body");
-  }
-  if (code > static_cast<std::uint8_t>(StatusCode::kInternal) ||
-      reserved[0] != 0 || reserved[1] != 0 || reserved[2] != 0 ||
+  if (!ReadStatus(r, &response.id, &response.status) || !r.U32(&count) ||
       count > kMaxWirePoints) {
-    return Status::InvalidArgument("malformed sweep response body");
+    return Unreadable("sweep response body");
   }
-  response.status = Status(static_cast<StatusCode>(code), std::move(message));
   response.probabilities.resize(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     if (!r.F64(&response.probabilities[i])) {
-      return Status::InvalidArgument("malformed sweep response body");
+      return Unreadable("sweep response body");
     }
   }
-  if (!r.AtEnd()) {
-    return Status::InvalidArgument("malformed sweep response body");
-  }
+  if (!r.AtEnd()) return Unreadable("sweep response body");
   return response;
 }
 
@@ -449,29 +485,16 @@ StatusOr<WireSweepResponse> DecodeSweepResponse(std::string_view body) {
 // Hard request / response
 
 std::string EncodeHardRequest(const WireHardRequest& request) {
-  std::string base =
-      EncodeRequest(WireRequest(request.id, serve::Request::Kind::kPatternProb,
-                                request.deadline_ns, request.model,
-                                request.pattern));
-  Writer w;
-  w.U32(static_cast<std::uint32_t>(base.size()));
-  w.Bytes(base);
+  Writer w = WriteCompositeBase(request.id, request.deadline_ns, request.model,
+                                request.pattern);
   w.F64(request.target_half_width);
   return w.Take();
 }
 
 StatusOr<WireHardRequest> DecodeHardRequest(std::string_view body) {
   Reader r(body);
-  std::uint32_t base_len = 0;
-  std::string base;
-  if (!r.U32(&base_len) || !r.Bytes(base_len, &base)) {
-    return Malformed("truncated hard base request");
-  }
-  StatusOr<WireRequest> decoded = DecodeRequest(base);
+  StatusOr<WireRequest> decoded = ReadCompositeBase(r, "hard");
   if (!decoded.ok()) return decoded.status();
-  if (decoded->kind != serve::Request::Kind::kPatternProb) {
-    return Malformed("hard base request kind must be pattern_prob");
-  }
   double target = 0.0;
   if (!r.F64(&target)) return Malformed("truncated hard target");
   // `!(x >= 0 && x <= 1)` rather than the complement so NaN fails too.
@@ -480,20 +503,15 @@ StatusOr<WireHardRequest> DecodeHardRequest(std::string_view body) {
   }
   if (!r.AtEnd()) return Malformed("trailing bytes");
 
-  return WireHardRequest(decoded->id, decoded->deadline_ns, target,
-                         std::move(decoded->model),
-                         std::move(decoded->pattern));
+  WireRequest& base = decoded.value();
+  return WireHardRequest(base.id, base.deadline_ns, target,
+                         std::move(base.model), std::move(base.pattern));
 }
 
 std::string EncodeHardResponse(const WireHardResponse& response) {
   Writer w;
-  w.U64(response.id);
-  w.U8(static_cast<std::uint8_t>(response.status.code()));
-  w.U8(response.target_met ? 1 : 0);
-  w.U8(response.deadline_limited ? 1 : 0);
-  w.U8(0);
-  w.U32(static_cast<std::uint32_t>(response.status.message().size()));
-  w.Bytes(response.status.message());
+  WriteStatus(w, response.id, response.status, response.target_met,
+              response.deadline_limited);
   w.F64(response.estimate);
   w.F64(response.std_error);
   w.U64(response.n_samples);
@@ -503,26 +521,12 @@ std::string EncodeHardResponse(const WireHardResponse& response) {
 StatusOr<WireHardResponse> DecodeHardResponse(std::string_view body) {
   Reader r(body);
   WireHardResponse response;
-  std::uint8_t code = 0;
-  std::uint8_t target_met = 0;
-  std::uint8_t deadline_limited = 0;
-  std::uint8_t reserved = 0;
-  std::uint32_t message_len = 0;
-  std::string message;
-  if (!r.U64(&response.id) || !r.U8(&code) || !r.U8(&target_met) ||
-      !r.U8(&deadline_limited) || !r.U8(&reserved) || !r.U32(&message_len) ||
-      !r.Bytes(message_len, &message) || !r.F64(&response.estimate) ||
-      !r.F64(&response.std_error) || !r.U64(&response.n_samples)) {
-    return Status::InvalidArgument("malformed hard response body");
+  if (!ReadStatus(r, &response.id, &response.status, &response.target_met,
+                  &response.deadline_limited) ||
+      !r.F64(&response.estimate) || !r.F64(&response.std_error) ||
+      !r.U64(&response.n_samples) || !r.AtEnd()) {
+    return Unreadable("hard response body");
   }
-  if (code > static_cast<std::uint8_t>(StatusCode::kInternal) ||
-      target_met > 1 || deadline_limited > 1 || reserved != 0) {
-    return Status::InvalidArgument("malformed hard response body");
-  }
-  if (!r.AtEnd()) return Status::InvalidArgument("malformed hard response body");
-  response.status = Status(static_cast<StatusCode>(code), std::move(message));
-  response.target_met = target_met != 0;
-  response.deadline_limited = deadline_limited != 0;
   return response;
 }
 
@@ -530,29 +534,16 @@ StatusOr<WireHardResponse> DecodeHardResponse(std::string_view body) {
 // Consensus request / response
 
 std::string EncodeConsensusRequest(const WireConsensusRequest& request) {
-  std::string base =
-      EncodeRequest(WireRequest(request.id, serve::Request::Kind::kPatternProb,
-                                request.deadline_ns, request.model,
-                                infer::LabelPattern()));
-  Writer w;
-  w.U32(static_cast<std::uint32_t>(base.size()));
-  w.Bytes(base);
+  Writer w = WriteCompositeBase(request.id, request.deadline_ns, request.model,
+                                infer::LabelPattern());
   w.U32(request.top_k);
   return w.Take();
 }
 
 StatusOr<WireConsensusRequest> DecodeConsensusRequest(std::string_view body) {
   Reader r(body);
-  std::uint32_t base_len = 0;
-  std::string base;
-  if (!r.U32(&base_len) || !r.Bytes(base_len, &base)) {
-    return Malformed("truncated consensus base request");
-  }
-  StatusOr<WireRequest> decoded = DecodeRequest(base);
+  StatusOr<WireRequest> decoded = ReadCompositeBase(r, "consensus");
   if (!decoded.ok()) return decoded.status();
-  if (decoded->kind != serve::Request::Kind::kPatternProb) {
-    return Malformed("consensus base request kind must be pattern_prob");
-  }
   if (decoded->pattern.NodeCount() != 0) {
     return Malformed("consensus base pattern must be empty");
   }
@@ -563,19 +554,14 @@ StatusOr<WireConsensusRequest> DecodeConsensusRequest(std::string_view body) {
   }
   if (!r.AtEnd()) return Malformed("trailing bytes");
 
-  return WireConsensusRequest(decoded->id, decoded->deadline_ns, top_k,
-                              std::move(decoded->model));
+  WireRequest& base = decoded.value();
+  return WireConsensusRequest(base.id, base.deadline_ns, top_k,
+                              std::move(base.model));
 }
 
 std::string EncodeConsensusResponse(const WireConsensusResponse& response) {
   Writer w;
-  w.U64(response.id);
-  w.U8(static_cast<std::uint8_t>(response.status.code()));
-  w.U8(0);
-  w.U8(0);
-  w.U8(0);
-  w.U32(static_cast<std::uint32_t>(response.status.message().size()));
-  w.Bytes(response.status.message());
+  WriteStatus(w, response.id, response.status);
   w.U32(static_cast<std::uint32_t>(response.ranking.size()));
   for (rim::ItemId item : response.ranking) w.U32(item);
   w.F64(response.mean_footrule);
@@ -589,37 +575,23 @@ std::string EncodeConsensusResponse(const WireConsensusResponse& response) {
 StatusOr<WireConsensusResponse> DecodeConsensusResponse(std::string_view body) {
   Reader r(body);
   WireConsensusResponse response;
-  std::uint8_t code = 0;
-  std::uint8_t reserved[3];
-  std::uint32_t message_len = 0;
-  std::string message;
   std::uint32_t ranking_len = 0;
-  if (!r.U64(&response.id) || !r.U8(&code) || !r.U8(&reserved[0]) ||
-      !r.U8(&reserved[1]) || !r.U8(&reserved[2]) || !r.U32(&message_len) ||
-      !r.Bytes(message_len, &message) || !r.U32(&ranking_len)) {
-    return Status::InvalidArgument("malformed consensus response body");
-  }
-  if (code > static_cast<std::uint8_t>(StatusCode::kInternal) ||
-      reserved[0] != 0 || reserved[1] != 0 || reserved[2] != 0 ||
-      ranking_len > kMaxWireItems) {
-    return Status::InvalidArgument("malformed consensus response body");
+  if (!ReadStatus(r, &response.id, &response.status) ||
+      !r.U32(&ranking_len) || ranking_len > kMaxWireItems) {
+    return Unreadable("consensus response body");
   }
   response.ranking.resize(ranking_len);
   for (std::uint32_t i = 0; i < ranking_len; ++i) {
     if (!r.U32(&response.ranking[i])) {
-      return Status::InvalidArgument("malformed consensus response body");
+      return Unreadable("consensus response body");
     }
   }
   if (!r.F64(&response.mean_footrule) ||
       !r.F64(&response.footrule_std_error) ||
       !r.F64(&response.mean_kendall) || !r.F64(&response.kendall_std_error) ||
-      !r.U64(&response.n_samples)) {
-    return Status::InvalidArgument("malformed consensus response body");
+      !r.U64(&response.n_samples) || !r.AtEnd()) {
+    return Unreadable("consensus response body");
   }
-  if (!r.AtEnd()) {
-    return Status::InvalidArgument("malformed consensus response body");
-  }
-  response.status = Status(static_cast<StatusCode>(code), std::move(message));
   return response;
 }
 

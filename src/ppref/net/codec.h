@@ -78,6 +78,10 @@
 /// u64 n_samples
 /// ```
 ///
+/// The composite bodies embed their base with the standard body's writer
+/// and reader; a base whose flags carry an idempotency key is keyed by the
+/// daemon like a standard request (id and key are read at body offset 4).
+///
 /// ## The no-abort contract
 /// `DecodeRequest` is the daemon's trust boundary. The model constructors it
 /// ultimately calls (`Ranking`, `InsertionFunction`, `LabelPattern::AddNode`

@@ -9,9 +9,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <iterator>
 
 #include "ppref/common/hash.h"
 #include "ppref/common/parallel.h"
@@ -38,14 +40,14 @@ void SetNonBlocking(int fd) {
   if (flags >= 0) fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
-/// Best-effort little-endian u64 at `offset` — how a shed/failed request's
-/// id is recovered without decoding the body (0 when too short).
-std::uint64_t PeekId(std::string_view body, std::size_t offset) {
-  if (body.size() < offset + 8) return 0;
+/// Best-effort little-endian u64 opening a base request — how a shed or
+/// undecodable request's id is recovered without decoding the body (0 when
+/// too short).
+std::uint64_t PeekId(std::string_view base) {
+  if (base.size() < 8) return 0;
   std::uint64_t id = 0;
   for (int i = 0; i < 8; ++i) {
-    id |= static_cast<std::uint64_t>(
-              static_cast<unsigned char>(body[offset + i]))
+    id |= static_cast<std::uint64_t>(static_cast<unsigned char>(base[i]))
           << (8 * i);
   }
   return id;
@@ -71,6 +73,214 @@ bool ParseHeaderKey(const std::string& text, std::uint64_t* out) {
   if (value == 0) return false;
   *out = value;
   return true;
+}
+
+/// One request kind: everything the daemon does per kind, in one row of
+/// the table below, keyed by the kind's request frame type.
+struct KindRow {
+  FrameType request;
+  FrameType response;
+  /// Where the embedded base request starts in a binary body: 0 for
+  /// evaluate, 4 (past the u32 base length) for the composite kinds. The id
+  /// and the idempotency key are read there without decoding.
+  std::size_t base_offset;
+  /// The HTTP POST route.
+  std::string_view route;
+  /// The kind's dispatch counter over both planes; null for evaluate, which
+  /// the per-plane counters already count.
+  const char* counter_name;
+  const char* counter_help;
+  /// Decodes the binary `body` (or the JSON document, when non-null),
+  /// serves it, and encodes the answer as a response frame (or JSON text).
+  /// A body that fails to decode is answered with a refusal frame; a JSON
+  /// mapping failure comes back as its status (the HTTP 400). `*retain`
+  /// reports whether the answer is terminal, so safe to keep for idempotent
+  /// replay.
+  StatusOr<std::string> (*execute)(serve::Server& server, const KindRow& kind,
+                                   std::string_view body,
+                                   const JsonValue* json, bool* retain);
+  /// A response frame carrying only `id` and a non-OK `status`.
+  std::string (*refuse)(const KindRow& kind, std::uint64_t id,
+                        Status status);
+
+  /// The embedded base request of a binary body (empty when too short).
+  std::string_view Base(std::string_view body) const {
+    return body.substr(std::min(base_offset, body.size()));
+  }
+};
+
+/// Terminal answers replay bit-identically: exact OK answers, and degraded
+/// approximate ones (seeded MC — *the* answer for this request, so a retry
+/// must see the same bits). Transient refusals (shed, empty-handed
+/// deadline) must not be pinned — a later retry deserves a fresh attempt.
+bool Terminal(const WireResponse& response) {
+  return response.status.ok() || response.approximate;
+}
+template <typename Response>
+bool Terminal(const Response& response) {
+  return response.status.ok();
+}
+
+// The serve step of each kind: the one place its serve answer becomes its
+// wire response, shared by the binary and HTTP planes.
+
+WireResponse ServeEvaluate(serve::Server& server, const WireRequest& request) {
+  return WireResponse::From(request.id, server.Evaluate(request.ToRequest()));
+}
+
+WireSweepResponse ServeSweep(serve::Server& server,
+                             const WireSweepRequest& request) {
+  WireSweepResponse response;
+  response.id = request.id;
+  StatusOr<std::vector<double>> answers = server.PatternProbSweep(
+      request.model, request.pattern, request.params, {request.deadline_ns});
+  if (!answers.ok()) {
+    response.status = answers.status();
+  } else {
+    response.probabilities = std::move(answers).value();
+  }
+  return response;
+}
+
+WireHardResponse ServeHard(serve::Server& server,
+                           const WireHardRequest& request) {
+  WireHardResponse response;
+  response.id = request.id;
+  const StatusOr<serve::HardEstimate> estimate =
+      server.HardPatternProb(request.model, request.pattern,
+                             request.target_half_width, {request.deadline_ns});
+  if (!estimate.ok()) {
+    response.status = estimate.status();
+  } else {
+    static_cast<serve::HardEstimate&>(response) = *estimate;
+  }
+  return response;
+}
+
+WireConsensusResponse ServeConsensus(serve::Server& server,
+                                     const WireConsensusRequest& request) {
+  WireConsensusResponse response;
+  response.id = request.id;
+  const StatusOr<serve::ConsensusAnswer> answer =
+      server.ConsensusTopK(request.model, request.top_k, {request.deadline_ns});
+  if (!answer.ok()) {
+    response.status = answer.status();
+  } else {
+    static_cast<serve::ConsensusAnswer&>(response) = *answer;
+  }
+  return response;
+}
+
+/// A kind's two table steps, bound at compile time to its codec functions
+/// and its serve step.
+template <typename Request, typename Response,
+          StatusOr<Request> (*kDecode)(std::string_view),
+          StatusOr<Request> (*kFromJson)(const JsonValue&),
+          Response (*kServe)(serve::Server&, const Request&),
+          std::string (*kEncode)(const Response&),
+          std::string (*kToJson)(const Response&)>
+struct Steps {
+  static StatusOr<std::string> Execute(serve::Server& server,
+                                       const KindRow& kind,
+                                       std::string_view body,
+                                       const JsonValue* json, bool* retain) {
+    const StatusOr<Request> request =
+        json != nullptr ? kFromJson(*json) : kDecode(body);
+    if (!request.ok()) {
+      if (json != nullptr) return request.status();
+      // The id may not have survived decoding; the peeked id plus the status
+      // is the best-effort answer (the strict client treats it as terminal).
+      return Refuse(kind, PeekId(kind.Base(body)), request.status());
+    }
+    const Response response = kServe(server, *request);
+    *retain = Terminal(response);
+    if (json != nullptr) return kToJson(response);
+    return EncodeFrame(kind.response, kEncode(response));
+  }
+
+  static std::string Refuse(const KindRow& kind, std::uint64_t id,
+                            Status status) {
+    Response response;
+    response.id = id;
+    response.status = std::move(status);
+    return EncodeFrame(kind.response, kEncode(response));
+  }
+};
+
+using EvaluateSteps =
+    Steps<WireRequest, WireResponse, DecodeRequest, WireRequestFromJson,
+          ServeEvaluate, EncodeResponse, JsonFromWireResponse>;
+using SweepSteps =
+    Steps<WireSweepRequest, WireSweepResponse, DecodeSweepRequest,
+          SweepRequestFromJson, ServeSweep, EncodeSweepResponse,
+          JsonFromWireSweepResponse>;
+using HardSteps =
+    Steps<WireHardRequest, WireHardResponse, DecodeHardRequest,
+          HardRequestFromJson, ServeHard, EncodeHardResponse,
+          JsonFromWireHardResponse>;
+using ConsensusSteps =
+    Steps<WireConsensusRequest, WireConsensusResponse, DecodeConsensusRequest,
+          ConsensusRequestFromJson, ServeConsensus, EncodeConsensusResponse,
+          JsonFromWireConsensusResponse>;
+
+constexpr KindRow kKinds[] = {
+    {FrameType::kRequest, PairedResponse(FrameType::kRequest), 0, "/query",
+     nullptr, nullptr, EvaluateSteps::Execute, EvaluateSteps::Refuse},
+    {FrameType::kSweepRequest, PairedResponse(FrameType::kSweepRequest), 4,
+     "/sweep", "ppref_net_requests_sweep_total",
+     "Parameter-sweep requests dispatched (binary and HTTP)",
+     SweepSteps::Execute, SweepSteps::Refuse},
+    {FrameType::kHardRequest, PairedResponse(FrameType::kHardRequest), 4,
+     "/hard", "ppref_net_requests_hard_total",
+     "Hard-tier adaptive-estimate requests dispatched (binary and HTTP)",
+     HardSteps::Execute, HardSteps::Refuse},
+    {FrameType::kConsensusRequest,
+     PairedResponse(FrameType::kConsensusRequest), 4, "/consensus",
+     "ppref_net_requests_consensus_total",
+     "Consensus top-k requests dispatched (binary and HTTP)",
+     ConsensusSteps::Execute, ConsensusSteps::Refuse},
+};
+constexpr std::size_t kKindCount = std::size(kKinds);
+
+/// The row of a binary request frame type; null for any other frame.
+const KindRow* KindOf(FrameType type) {
+  for (const KindRow& kind : kKinds) {
+    if (kind.request == type) return &kind;
+  }
+  return nullptr;
+}
+
+/// The row serving an HTTP request; null unless it is a POST to a kind's
+/// route.
+const KindRow* RouteOf(const HttpRequest& request) {
+  if (request.method != "POST") return nullptr;
+  for (const KindRow& kind : kKinds) {
+    if (kind.route == request.target) return &kind;
+  }
+  return nullptr;
+}
+
+/// A request's idempotency-table key, 0 when unkeyed. The raw key is the
+/// base request's (binary) or the x-ppref-idempotency-key header's (HTTP);
+/// every key folds in its plane and its kind, so a key reused across planes
+/// or routes never replays another kind's bytes. A binary key also folds in
+/// the wire id, so retained bytes echo the id their requester sent (retries
+/// reuse id + key; see wire.h).
+std::uint64_t IdempotencyKey(const KindRow& kind, bool http,
+                             const HttpRequest& request,
+                             std::string_view body) {
+  const auto kind_tag = static_cast<std::uint64_t>(kind.request);
+  std::uint64_t raw = 0;
+  if (http) {
+    const std::string* header = request.Header("x-ppref-idempotency-key");
+    if (header == nullptr || !ParseHeaderKey(*header, &raw)) return 0;
+    return HashCombine(HashCombine(kIdemPlaneHttp, raw), kind_tag);
+  }
+  const std::string_view base = kind.Base(body);
+  raw = PeekIdempotencyKey(base);
+  if (raw == 0) return 0;
+  return HashCombine(
+      HashCombine(HashCombine(kIdemPlaneBinary, raw), PeekId(base)), kind_tag);
 }
 
 }  // namespace
@@ -111,12 +321,11 @@ struct Daemon::Connection {
 };
 
 struct Daemon::Job {
-  /// Which binary request family the body carries (ignored when http).
-  enum class Kind : std::uint8_t { kEvaluate, kSweep, kHard, kConsensus };
-
   std::uint64_t conn_id = 0;
   bool http = false;
-  Kind kind = Kind::kEvaluate;
+  /// The request kind; for HTTP, null unless the request is a POST to a
+  /// kind's route.
+  const KindRow* kind = nullptr;
   std::string body;      // binary request frame body
   HttpRequest request;   // http request
 };
@@ -146,15 +355,6 @@ struct Daemon::Instruments {
                                      "Binary-protocol requests dispatched")),
         requests_http(r.GetCounter("ppref_net_requests_http_total",
                                    "HTTP requests dispatched")),
-        requests_sweep(r.GetCounter("ppref_net_requests_sweep_total",
-                                    "Parameter-sweep requests dispatched "
-                                    "(binary and HTTP)")),
-        requests_hard(r.GetCounter("ppref_net_requests_hard_total",
-                                   "Hard-tier adaptive-estimate requests "
-                                   "dispatched (binary and HTTP)")),
-        requests_consensus(r.GetCounter("ppref_net_requests_consensus_total",
-                                        "Consensus top-k requests dispatched "
-                                        "(binary and HTTP)")),
         shed_draining(r.GetCounter(
             "ppref_net_shed_draining_total",
             "Requests refused because the daemon was draining")),
@@ -163,7 +363,19 @@ struct Daemon::Instruments {
         active(r.GetGauge("ppref_net_connections_active",
                           "Currently open connections")),
         draining(r.GetGauge("ppref_net_draining",
-                            "1 once graceful drain has begun")) {}
+                            "1 once graceful drain has begun")) {
+    for (std::size_t k = 0; k < kKindCount; ++k) {
+      if (kKinds[k].counter_name != nullptr) {
+        by_kind[k] =
+            &r.GetCounter(kKinds[k].counter_name, kKinds[k].counter_help);
+      }
+    }
+  }
+
+  /// Counts one dispatch of `kind` on its own counter, if it has one.
+  void CountKind(const KindRow& kind) {
+    if (obs::Counter* counter = by_kind[&kind - kKinds]) counter->Inc();
+  }
 
   obs::Counter& accepted;
   obs::Counter& adopted;
@@ -173,14 +385,14 @@ struct Daemon::Instruments {
   obs::Counter& bad_frames;
   obs::Counter& requests_binary;
   obs::Counter& requests_http;
-  obs::Counter& requests_sweep;
-  obs::Counter& requests_hard;
-  obs::Counter& requests_consensus;
   obs::Counter& shed_draining;
   obs::Counter& bytes_rx;
   obs::Counter& bytes_tx;
   obs::Gauge& active;
   obs::Gauge& draining;
+  /// Per-kind dispatch counters, by kKinds index (null where a kind has
+  /// none).
+  obs::Counter* by_kind[kKindCount] = {};
 };
 
 // ---------------------------------------------------------------------------
@@ -235,25 +447,11 @@ Status Daemon::Start() {
   if (epoll_fd_ < 0) return fail(Errno("epoll_create1"));
   wake_fd_ = eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
   if (wake_fd_ < 0) return fail(Errno("eventfd"));
-  epoll_event wake_event{};
-  wake_event.events = EPOLLIN;
-  wake_event.data.u64 = kWakeId;
-  epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &wake_event);
+  Watch(EPOLL_CTL_ADD, wake_fd_, kWakeId, EPOLLIN);
 
   if (options_.listen_fd >= 0) {
     listen_fd_ = options_.listen_fd;
     SetNonBlocking(listen_fd_);
-    sockaddr_in address{};
-    socklen_t length = sizeof(address);
-    if (getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&address),
-                    &length) == 0 &&
-        address.sin_family == AF_INET) {
-      port_ = ntohs(address.sin_port);
-    }
-    epoll_event listen_event{};
-    listen_event.events = EPOLLIN;
-    listen_event.data.u64 = kListenId;
-    epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &listen_event);
   } else if (options_.port >= 0) {
     listen_fd_ = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK,
                         0);
@@ -273,13 +471,16 @@ Status Daemon::Start() {
       return fail(Errno("bind"));
     }
     if (listen(listen_fd_, 128) != 0) return fail(Errno("listen"));
+  }
+  if (listen_fd_ >= 0) {
+    sockaddr_in address{};
     socklen_t length = sizeof(address);
-    getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&address), &length);
-    port_ = ntohs(address.sin_port);
-    epoll_event listen_event{};
-    listen_event.events = EPOLLIN;
-    listen_event.data.u64 = kListenId;
-    epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &listen_event);
+    if (getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&address),
+                    &length) == 0 &&
+        address.sin_family == AF_INET) {
+      port_ = ntohs(address.sin_port);
+    }
+    Watch(EPOLL_CTL_ADD, listen_fd_, kListenId, EPOLLIN);
   }
 
   unsigned workers = options_.workers;
@@ -312,10 +513,7 @@ Status Daemon::AdoptConnection(int fd) {
 void Daemon::RequestDrain() {
   // Async-signal-safe: one atomic store, one eventfd write.
   drain_.store(true, std::memory_order_release);
-  if (wake_fd_ >= 0) {
-    const std::uint64_t one = 1;
-    [[maybe_unused]] ssize_t n = write(wake_fd_, &one, sizeof(one));
-  }
+  Wake();
 }
 
 void Daemon::Join() {
@@ -465,16 +663,7 @@ void Daemon::AcceptReady() {
     const int one = 1;
     setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     instruments_->accepted.Inc();
-    const std::uint64_t id = next_connection_id_++;
-    auto connection = std::make_unique<Connection>(id, fd, options_);
-    connection->deadline_at =
-        Clock::now() + std::chrono::nanoseconds(options_.connection_deadline_ns);
-    epoll_event event{};
-    event.events = EPOLLIN;
-    event.data.u64 = id;
-    epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &event);
-    connections_.emplace(id, std::move(connection));
-    instruments_->active.Add(1);
+    AddConnection(fd);
   }
 }
 
@@ -491,17 +680,25 @@ void Daemon::AdoptPending() {
     }
     SetNonBlocking(fd);
     instruments_->adopted.Inc();
-    const std::uint64_t id = next_connection_id_++;
-    auto connection = std::make_unique<Connection>(id, fd, options_);
-    connection->deadline_at =
-        Clock::now() + std::chrono::nanoseconds(options_.connection_deadline_ns);
-    epoll_event event{};
-    event.events = EPOLLIN;
-    event.data.u64 = id;
-    epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &event);
-    connections_.emplace(id, std::move(connection));
-    instruments_->active.Add(1);
+    AddConnection(fd);
   }
+}
+
+void Daemon::AddConnection(int fd) {
+  const std::uint64_t id = next_connection_id_++;
+  auto connection = std::make_unique<Connection>(id, fd, options_);
+  connection->deadline_at =
+      Clock::now() + std::chrono::nanoseconds(options_.connection_deadline_ns);
+  Watch(EPOLL_CTL_ADD, fd, id, EPOLLIN);
+  connections_.emplace(id, std::move(connection));
+  instruments_->active.Add(1);
+}
+
+void Daemon::Watch(int op, int fd, std::uint64_t id, std::uint32_t events) {
+  epoll_event event{};
+  event.events = events;
+  event.data.u64 = id;
+  epoll_ctl(epoll_fd_, op, fd, &event);
 }
 
 void Daemon::ReadReady(Connection& connection) {
@@ -574,117 +771,36 @@ void Daemon::HandleInput(Connection& connection, const char* data,
 }
 
 void Daemon::DispatchBinary(Connection& connection, Frame frame) {
-  switch (frame.type) {
-    case FrameType::kPing:
-      QueueOutput(connection, EncodeFrame(FrameType::kPong, frame.body),
-                  /*close_after=*/false);
-      return;
-    case FrameType::kRequest: {
-      if (drain_.load(std::memory_order_acquire)) {
-        // Shed without decoding the model: only the id (first 8 body
-        // bytes) is needed for a well-formed refusal.
-        instruments_->shed_draining.Inc();
-        WireResponse response;
-        response.id = PeekId(frame.body, 0);
-        response.status = Status::ResourceExhausted("daemon draining");
-        QueueOutput(connection,
-                    EncodeFrame(FrameType::kResponse,
-                                EncodeResponse(response)),
-                    /*close_after=*/false);
-        return;
-      }
-      instruments_->requests_binary.Inc();
-      ++connection.in_flight;
-      Job job;
-      job.conn_id = connection.id;
-      job.http = false;
-      job.body = std::move(frame.body);
-      PushJob(std::move(job));
-      return;
-    }
-    case FrameType::kSweepRequest: {
-      if (drain_.load(std::memory_order_acquire)) {
-        // The sweep body opens with a u32 base length, so the embedded base
-        // request's id sits at bytes 4..12.
-        instruments_->shed_draining.Inc();
-        WireSweepResponse response;
-        response.id = PeekId(frame.body, 4);
-        response.status = Status::ResourceExhausted("daemon draining");
-        QueueOutput(connection,
-                    EncodeFrame(FrameType::kSweepResponse,
-                                EncodeSweepResponse(response)),
-                    /*close_after=*/false);
-        return;
-      }
-      instruments_->requests_binary.Inc();
-      instruments_->requests_sweep.Inc();
-      ++connection.in_flight;
-      Job job;
-      job.conn_id = connection.id;
-      job.http = false;
-      job.kind = Job::Kind::kSweep;
-      job.body = std::move(frame.body);
-      PushJob(std::move(job));
-      return;
-    }
-    case FrameType::kHardRequest: {
-      if (drain_.load(std::memory_order_acquire)) {
-        // Like a sweep, the body opens with a u32 base length, so the
-        // embedded base request's id sits at bytes 4..12.
-        instruments_->shed_draining.Inc();
-        WireHardResponse response;
-        response.id = PeekId(frame.body, 4);
-        response.status = Status::ResourceExhausted("daemon draining");
-        QueueOutput(connection,
-                    EncodeFrame(FrameType::kHardResponse,
-                                EncodeHardResponse(response)),
-                    /*close_after=*/false);
-        return;
-      }
-      instruments_->requests_binary.Inc();
-      instruments_->requests_hard.Inc();
-      ++connection.in_flight;
-      Job job;
-      job.conn_id = connection.id;
-      job.http = false;
-      job.kind = Job::Kind::kHard;
-      job.body = std::move(frame.body);
-      PushJob(std::move(job));
-      return;
-    }
-    case FrameType::kConsensusRequest: {
-      if (drain_.load(std::memory_order_acquire)) {
-        instruments_->shed_draining.Inc();
-        WireConsensusResponse response;
-        response.id = PeekId(frame.body, 4);
-        response.status = Status::ResourceExhausted("daemon draining");
-        QueueOutput(connection,
-                    EncodeFrame(FrameType::kConsensusResponse,
-                                EncodeConsensusResponse(response)),
-                    /*close_after=*/false);
-        return;
-      }
-      instruments_->requests_binary.Inc();
-      instruments_->requests_consensus.Inc();
-      ++connection.in_flight;
-      Job job;
-      job.conn_id = connection.id;
-      job.http = false;
-      job.kind = Job::Kind::kConsensus;
-      job.body = std::move(frame.body);
-      PushJob(std::move(job));
-      return;
-    }
-    case FrameType::kResponse:
-    case FrameType::kPong:
-    case FrameType::kSweepResponse:
-    case FrameType::kHardResponse:
-    case FrameType::kConsensusResponse:
-      // Clients send requests and pings; anything else is a violation.
-      instruments_->bad_frames.Inc();
-      CloseConnection(connection.id);
-      return;
+  if (frame.type == FrameType::kPing) {
+    QueueOutput(connection, EncodeFrame(FrameType::kPong, frame.body),
+                /*close_after=*/false);
+    return;
   }
+  const KindRow* kind = KindOf(frame.type);
+  if (kind == nullptr) {
+    // Clients send requests and pings; anything else is a violation.
+    instruments_->bad_frames.Inc();
+    CloseConnection(connection.id);
+    return;
+  }
+  if (drain_.load(std::memory_order_acquire)) {
+    // Shed without decoding the model: only the id (the first 8 bytes of
+    // the base request) is needed for a well-formed refusal.
+    instruments_->shed_draining.Inc();
+    QueueOutput(connection,
+                kind->refuse(*kind, PeekId(kind->Base(frame.body)),
+                             Status::ResourceExhausted("daemon draining")),
+                /*close_after=*/false);
+    return;
+  }
+  instruments_->requests_binary.Inc();
+  instruments_->CountKind(*kind);
+  ++connection.in_flight;
+  Job job;
+  job.conn_id = connection.id;
+  job.kind = kind;
+  job.body = std::move(frame.body);
+  PushJob(std::move(job));
 }
 
 void Daemon::DispatchHttp(Connection& connection) {
@@ -702,6 +818,7 @@ void Daemon::DispatchHttp(Connection& connection) {
   job.conn_id = connection.id;
   job.http = true;
   job.request = connection.http.request();
+  job.kind = RouteOf(job.request);
   PushJob(std::move(job));
 }
 
@@ -729,10 +846,7 @@ void Daemon::FlushOutput(Connection& connection) {
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
       if (!connection.want_write) {
         connection.want_write = true;
-        epoll_event event{};
-        event.events = EPOLLIN | EPOLLOUT;
-        event.data.u64 = connection.id;
-        epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, connection.fd, &event);
+        Watch(EPOLL_CTL_MOD, connection.fd, connection.id, EPOLLIN | EPOLLOUT);
       }
       return;
     }
@@ -744,10 +858,7 @@ void Daemon::FlushOutput(Connection& connection) {
   // Fully flushed.
   if (connection.want_write) {
     connection.want_write = false;
-    epoll_event event{};
-    event.events = EPOLLIN;
-    event.data.u64 = connection.id;
-    epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, connection.fd, &event);
+    Watch(EPOLL_CTL_MOD, connection.fd, connection.id, EPOLLIN);
   }
   if (connection.in_flight == 0 &&
       (connection.close_after_flush || connection.peer_closed)) {
@@ -851,26 +962,10 @@ void Daemon::WorkerLoop() {
     // the expensive decode+evaluate. A replayed or coalesced retry costs no
     // serve-layer work at all; a waiter produces *no* completion here — the
     // owner's Publish fans the bytes out to every parked waiter.
-    std::uint64_t idem_key = 0;
-    if (idempotency_ != nullptr) {
-      if (job.http) {
-        const std::string* header =
-            job.request.Header("x-ppref-idempotency-key");
-        std::uint64_t raw = 0;
-        if (job.request.method == "POST" && job.request.target == "/query" &&
-            header != nullptr && ParseHeaderKey(*header, &raw)) {
-          idem_key = HashCombine(kIdemPlaneHttp, raw);
-        }
-      } else if (job.kind == Job::Kind::kEvaluate) {
-        const std::uint64_t raw = PeekIdempotencyKey(job.body);
-        if (raw != 0) {
-          // The wire id is folded in so retained bytes echo the id their
-          // requester sent (retries reuse id + key; see wire.h).
-          idem_key = HashCombine(HashCombine(kIdemPlaneBinary, raw),
-                                 PeekId(job.body, 0));
-        }
-      }
-    }
+    const std::uint64_t idem_key =
+        idempotency_ != nullptr && job.kind != nullptr
+            ? IdempotencyKey(*job.kind, job.http, job.request, job.body)
+            : 0;
     const bool http_close = job.http;  // HTTP is one-shot (Connection: close)
     if (idem_key != 0) {
       IdempotencyTable::Claim claim =
@@ -888,28 +983,14 @@ void Daemon::WorkerLoop() {
 
     Completion completion;
     completion.conn_id = job.conn_id;
+    completion.close_after = http_close;
     bool retain = false;
-    if (job.http) {
-      completion.bytes = ExecuteHttp(
-          job.request, drain_.load(std::memory_order_acquire), &retain);
-      completion.close_after = true;
-    } else {
-      switch (job.kind) {
-        case Job::Kind::kEvaluate:
-          completion.bytes = ExecuteBinary(job.body, &retain);
-          break;
-        case Job::Kind::kSweep:
-          completion.bytes = ExecuteBinarySweep(job.body);
-          break;
-        case Job::Kind::kHard:
-          completion.bytes = ExecuteBinaryHard(job.body);
-          break;
-        case Job::Kind::kConsensus:
-          completion.bytes = ExecuteBinaryConsensus(job.body);
-          break;
-      }
-      completion.close_after = false;
-    }
+    completion.bytes =
+        job.http ? ExecuteHttp(job, drain_.load(std::memory_order_acquire),
+                               &retain)
+                 : job.kind->execute(*server_, *job.kind, job.body,
+                                     /*json=*/nullptr, &retain)
+                       .value();
     if (idem_key != 0) {
       const std::vector<std::uint64_t> waiters =
           idempotency_->Publish(idem_key, completion.bytes, retain);
@@ -925,104 +1006,9 @@ void Daemon::WorkerLoop() {
   }
 }
 
-std::string Daemon::ExecuteBinary(const std::string& body, bool* retain_idem) {
-  StatusOr<WireRequest> request = DecodeRequest(body);
-  WireResponse response;
-  if (!request.ok()) {
-    // The id may not have survived decoding; a zero id plus the status is
-    // the best-effort answer (the strict client treats it as terminal).
-    response.id = PeekId(body, 0);
-    response.status = request.status();
-  } else {
-    response = WireResponse::From(request->id,
-                                  server_->Evaluate(request->ToRequest()));
-  }
-  // Terminal answers replay bit-identically: exact OK answers, and degraded
-  // approximate ones (seeded MC — *the* answer for this request, so a retry
-  // must see the same bits). Transient refusals (shed, empty-handed
-  // deadline) must not be pinned — a later retry deserves a fresh attempt.
-  if (retain_idem != nullptr) {
-    *retain_idem = response.status.ok() || response.approximate;
-  }
-  return EncodeFrame(FrameType::kResponse, EncodeResponse(response));
-}
-
-std::string Daemon::ExecuteBinarySweep(const std::string& body) {
-  StatusOr<WireSweepRequest> request = DecodeSweepRequest(body);
-  WireSweepResponse response;
-  if (!request.ok()) {
-    response.id = PeekId(body, 4);  // id of the length-prefixed base request
-    response.status = request.status();
-  } else {
-    response.id = request->id;
-    serve::RequestControl control;
-    control.deadline_ns = request->deadline_ns;
-    StatusOr<std::vector<double>> answers = server_->PatternProbSweep(
-        request->model, request->pattern, request->params, control);
-    if (answers.ok()) {
-      response.probabilities = std::move(*answers);
-    } else {
-      response.status = answers.status();
-    }
-  }
-  return EncodeFrame(FrameType::kSweepResponse, EncodeSweepResponse(response));
-}
-
-std::string Daemon::ExecuteBinaryHard(const std::string& body) {
-  StatusOr<WireHardRequest> request = DecodeHardRequest(body);
-  WireHardResponse response;
-  if (!request.ok()) {
-    response.id = PeekId(body, 4);  // id of the length-prefixed base request
-    response.status = request.status();
-  } else {
-    response.id = request->id;
-    serve::RequestControl control;
-    control.deadline_ns = request->deadline_ns;
-    StatusOr<serve::HardEstimate> estimate = server_->HardPatternProb(
-        request->model, request->pattern, request->target_half_width, control);
-    if (estimate.ok()) {
-      response.estimate = estimate->estimate;
-      response.std_error = estimate->std_error;
-      response.n_samples = estimate->n_samples;
-      response.target_met = estimate->target_met;
-      response.deadline_limited = estimate->deadline_limited;
-    } else {
-      response.status = estimate.status();
-    }
-  }
-  return EncodeFrame(FrameType::kHardResponse, EncodeHardResponse(response));
-}
-
-std::string Daemon::ExecuteBinaryConsensus(const std::string& body) {
-  StatusOr<WireConsensusRequest> request = DecodeConsensusRequest(body);
-  WireConsensusResponse response;
-  if (!request.ok()) {
-    response.id = PeekId(body, 4);
-    response.status = request.status();
-  } else {
-    response.id = request->id;
-    serve::RequestControl control;
-    control.deadline_ns = request->deadline_ns;
-    StatusOr<serve::ConsensusAnswer> answer =
-        server_->ConsensusTopK(request->model, request->top_k, control);
-    if (answer.ok()) {
-      response.ranking = std::move(answer->ranking);
-      response.mean_footrule = answer->mean_footrule;
-      response.footrule_std_error = answer->footrule_std_error;
-      response.mean_kendall = answer->mean_kendall;
-      response.kendall_std_error = answer->kendall_std_error;
-      response.n_samples = answer->n_samples;
-    } else {
-      response.status = answer.status();
-    }
-  }
-  return EncodeFrame(FrameType::kConsensusResponse,
-                     EncodeConsensusResponse(response));
-}
-
-std::string Daemon::ExecuteHttp(const HttpRequest& request, bool draining,
+std::string Daemon::ExecuteHttp(const Job& job, bool draining,
                                 bool* retain_idem) {
-  if (retain_idem != nullptr) *retain_idem = false;
+  const HttpRequest& request = job.request;
   if (request.method == "GET") {
     if (request.target == "/healthz") {
       if (draining) {
@@ -1046,114 +1032,25 @@ std::string Daemon::ExecuteHttp(const HttpRequest& request, bool draining,
     return RenderHttpResponse(405, "Method Not Allowed", "text/plain",
                               "method not allowed\n");
   }
-  if (request.target != "/query" && request.target != "/sweep" &&
-      request.target != "/hard" && request.target != "/consensus") {
+  if (job.kind == nullptr) {
     return RenderHttpResponse(404, "Not Found", "text/plain", "not found\n");
   }
 
-  StatusOr<JsonValue> document = ParseJson(request.body);
-  if (!document.ok()) {
-    return RenderHttpResponse(
-        400, "Bad Request", "application/json",
-        "{\"status\":\"INVALID_ARGUMENT\",\"message\":" +
-            JsonQuote(document.status().message()) + "}");
-  }
-
-  if (request.target == "/sweep") {
-    instruments_->requests_sweep.Inc();
-    StatusOr<WireSweepRequest> wire = SweepRequestFromJson(*document);
-    if (!wire.ok()) {
-      return RenderHttpResponse(
-          400, "Bad Request", "application/json",
-          "{\"status\":\"INVALID_ARGUMENT\",\"message\":" +
-              JsonQuote(wire.status().message()) + "}");
+  const StatusOr<JsonValue> document = ParseJson(request.body);
+  Status error = document.status();
+  if (document.ok()) {
+    instruments_->CountKind(*job.kind);
+    StatusOr<std::string> json = job.kind->execute(
+        *server_, *job.kind, /*body=*/{}, &*document, retain_idem);
+    if (json.ok()) {
+      return RenderHttpResponse(200, "OK", "application/json", json.value());
     }
-    WireSweepResponse response;
-    response.id = wire->id;
-    serve::RequestControl control;
-    control.deadline_ns = wire->deadline_ns;
-    StatusOr<std::vector<double>> answers = server_->PatternProbSweep(
-        wire->model, wire->pattern, wire->params, control);
-    if (answers.ok()) {
-      response.probabilities = std::move(*answers);
-    } else {
-      response.status = answers.status();
-    }
-    return RenderHttpResponse(200, "OK", "application/json",
-                              JsonFromWireSweepResponse(response));
+    error = json.status();
   }
-
-  if (request.target == "/hard") {
-    instruments_->requests_hard.Inc();
-    StatusOr<WireHardRequest> wire = HardRequestFromJson(*document);
-    if (!wire.ok()) {
-      return RenderHttpResponse(
-          400, "Bad Request", "application/json",
-          "{\"status\":\"INVALID_ARGUMENT\",\"message\":" +
-              JsonQuote(wire.status().message()) + "}");
-    }
-    WireHardResponse response;
-    response.id = wire->id;
-    serve::RequestControl control;
-    control.deadline_ns = wire->deadline_ns;
-    StatusOr<serve::HardEstimate> estimate = server_->HardPatternProb(
-        wire->model, wire->pattern, wire->target_half_width, control);
-    if (estimate.ok()) {
-      response.estimate = estimate->estimate;
-      response.std_error = estimate->std_error;
-      response.n_samples = estimate->n_samples;
-      response.target_met = estimate->target_met;
-      response.deadline_limited = estimate->deadline_limited;
-    } else {
-      response.status = estimate.status();
-    }
-    return RenderHttpResponse(200, "OK", "application/json",
-                              JsonFromWireHardResponse(response));
-  }
-
-  if (request.target == "/consensus") {
-    instruments_->requests_consensus.Inc();
-    StatusOr<WireConsensusRequest> wire = ConsensusRequestFromJson(*document);
-    if (!wire.ok()) {
-      return RenderHttpResponse(
-          400, "Bad Request", "application/json",
-          "{\"status\":\"INVALID_ARGUMENT\",\"message\":" +
-              JsonQuote(wire.status().message()) + "}");
-    }
-    WireConsensusResponse response;
-    response.id = wire->id;
-    serve::RequestControl control;
-    control.deadline_ns = wire->deadline_ns;
-    StatusOr<serve::ConsensusAnswer> answer =
-        server_->ConsensusTopK(wire->model, wire->top_k, control);
-    if (answer.ok()) {
-      response.ranking = std::move(answer->ranking);
-      response.mean_footrule = answer->mean_footrule;
-      response.footrule_std_error = answer->footrule_std_error;
-      response.mean_kendall = answer->mean_kendall;
-      response.kendall_std_error = answer->kendall_std_error;
-      response.n_samples = answer->n_samples;
-    } else {
-      response.status = answer.status();
-    }
-    return RenderHttpResponse(200, "OK", "application/json",
-                              JsonFromWireConsensusResponse(response));
-  }
-
-  StatusOr<WireRequest> wire = WireRequestFromJson(*document);
-  if (!wire.ok()) {
-    return RenderHttpResponse(
-        400, "Bad Request", "application/json",
-        "{\"status\":\"INVALID_ARGUMENT\",\"message\":" +
-            JsonQuote(wire.status().message()) + "}");
-  }
-  const WireResponse response =
-      WireResponse::From(wire->id, server_->Evaluate(wire->ToRequest()));
-  if (retain_idem != nullptr) {
-    *retain_idem = response.status.ok() || response.approximate;
-  }
-  return RenderHttpResponse(200, "OK", "application/json",
-                            JsonFromWireResponse(response));
+  return RenderHttpResponse(
+      400, "Bad Request", "application/json",
+      "{\"status\":\"INVALID_ARGUMENT\",\"message\":" +
+          JsonQuote(error.message()) + "}");
 }
 
 }  // namespace ppref::net

@@ -12,18 +12,28 @@
 ///                        ┌──────▼──────────┴──────────┐
 ///                        │  worker pool (N threads):  │
 ///                        │  decode → serve::Server    │
-///                        │  ::Evaluate → encode       │
+///                        │  call of the kind → encode │
 ///                        └────────────────────────────┘
 /// ```
 /// One IO thread owns every socket and every per-connection struct — reads,
 /// protocol detection, frame assembly, writes, deadlines, and teardown all
 /// happen there, so connection state needs no locks. Complete requests are
 /// handed to a fixed worker pool as owned byte buffers; workers do the
-/// expensive work (decode, DP evaluation through the full fault-tolerant
-/// serve pipeline, encode) and push finished bytes back through a completion
-/// queue drained by the IO thread (woken via eventfd). A response for a
-/// connection that died in the meantime is dropped by id — workers never
-/// touch sockets.
+/// expensive work (decode, the kind's call through the full fault-tolerant
+/// serve pipeline, encode) and push finished bytes back through a
+/// completion queue drained by the IO thread (woken via eventfd). A response
+/// for a connection that died in the meantime is dropped by id — workers
+/// never touch sockets.
+///
+/// ## One table for the four request kinds
+/// Evaluate, sweep, hard, and consensus requests differ only in their codec
+/// and their serve call. daemon.cc wires each kind in one row of a table
+/// keyed by its request frame type: the paired response type, where the
+/// embedded base request sits in the body (the id and idempotency key are
+/// read there without decoding), the HTTP route, the kind's dispatch
+/// counter, and one decode → serve → encode step used by both planes. The
+/// drain refusal, the binary and HTTP execution, and the idempotency claim
+/// are each written once over that table.
 ///
 /// Both planes share one port: a connection's first four bytes either match
 /// the binary frame magic or the stream is treated as HTTP (http.h).
@@ -168,6 +178,10 @@ class Daemon {
   // IO-thread helpers (only the IO thread touches Connection state).
   void AcceptReady();
   void AdoptPending();
+  /// Registers a new non-blocking connection with the event loop.
+  void AddConnection(int fd);
+  /// epoll_ctl(op) of `fd` under user-data `id`, waiting for `events`.
+  void Watch(int op, int fd, std::uint64_t id, std::uint32_t events);
   void ReadReady(Connection& connection);
   void WriteReady(Connection& connection);
   void HandleInput(Connection& connection, const char* data, std::size_t size);
@@ -181,15 +195,11 @@ class Daemon {
   void CloseExpiredConnections();
   int NextTimeoutMs() const;
 
-  // Worker-side request execution (no connection access). `retain_idem`
-  // (when non-null) reports whether the produced bytes are a terminal
-  // answer safe to retain for idempotent replay.
-  std::string ExecuteBinary(const std::string& body, bool* retain_idem);
-  std::string ExecuteBinarySweep(const std::string& body);
-  std::string ExecuteBinaryHard(const std::string& body);
-  std::string ExecuteBinaryConsensus(const std::string& body);
-  std::string ExecuteHttp(const HttpRequest& request, bool draining,
-                          bool* retain_idem);
+  // Worker-side execution of an HTTP job (no connection access); a binary
+  // job runs its kind's table step directly. `retain_idem` reports whether
+  // the produced bytes are a terminal answer safe to retain for idempotent
+  // replay.
+  std::string ExecuteHttp(const Job& job, bool draining, bool* retain_idem);
 
   void PushJob(Job job);
   void PushCompletion(Completion completion);

@@ -27,10 +27,10 @@
 /// execution instead of a cached refusal.
 ///
 /// The caller builds keys; this table treats them as opaque. The daemon
-/// folds the wire correlation id and a protocol-plane tag into the key
-/// (daemon.cc), so the retained bytes always echo the right id and the
-/// binary and HTTP planes — which retain different byte encodings — never
-/// alias.
+/// folds the wire correlation id, a protocol-plane tag, and the request
+/// kind into the key (daemon.cc), so the retained bytes always echo the
+/// right id, and neither the binary and HTTP planes — which retain
+/// different byte encodings — nor two kinds sharing a key ever alias.
 ///
 /// Thread-safe; one mutex, O(1) operations, no allocation while holding the
 /// lock beyond the entry itself. In-flight entries are never evicted (their

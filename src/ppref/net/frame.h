@@ -67,6 +67,12 @@ enum class FrameType : std::uint8_t {
   kConsensusResponse = 10,
 };
 
+/// The response type paired with a request type (kPing → kPong): every
+/// request type is odd, and its answer is the next value.
+constexpr FrameType PairedResponse(FrameType request) {
+  return static_cast<FrameType>(static_cast<std::uint8_t>(request) + 1);
+}
+
 /// One complete frame, body owned.
 struct Frame {
   FrameType type = FrameType::kRequest;

@@ -157,8 +157,8 @@ std::string RenderHttpResponse(int status_code, std::string_view reason,
 
 namespace {
 
-Status Bad(const char* what) {
-  return Status::InvalidArgument(std::string("bad query: ") + what);
+Status Bad(std::string_view what) {
+  return Status::InvalidArgument("bad query: " + std::string(what));
 }
 
 /// A JSON number that must be a non-negative integer below `limit`.
@@ -171,6 +171,25 @@ bool AsIndex(const JsonValue* value, std::uint64_t limit, std::uint64_t* out) {
   }
   *out = static_cast<std::uint64_t>(number);
   return true;
+}
+
+/// The /query mapping of a composite document's shared keys, whose kind
+/// must be absent or "pattern_prob"; `what` names the query in the error.
+StatusOr<WireRequest> CompositeBaseFromJson(const JsonValue& root,
+                                            std::string_view what) {
+  StatusOr<WireRequest> base = WireRequestFromJson(root);
+  if (base.ok() && base->kind != serve::Request::Kind::kPatternProb) {
+    return Bad("\"kind\" must be \"pattern_prob\" for " + std::string(what));
+  }
+  return base;
+}
+
+/// Opens every response document: the echoed id, the status name, and the
+/// status message; each mapper appends its own fields and the closing brace.
+std::string JsonStatusPrefix(std::uint64_t id, const Status& status) {
+  return "{\"id\":" + std::to_string(id) + ",\"status\":" +
+         JsonQuote(StatusCodeName(status.code())) +
+         ",\"message\":" + JsonQuote(status.message());
 }
 
 }  // namespace
@@ -366,11 +385,8 @@ StatusOr<WireRequest> WireRequestFromJson(const JsonValue& root) {
 }
 
 StatusOr<WireSweepRequest> SweepRequestFromJson(const JsonValue& root) {
-  StatusOr<WireRequest> base = WireRequestFromJson(root);
+  StatusOr<WireRequest> base = CompositeBaseFromJson(root, "a sweep");
   if (!base.ok()) return base.status();
-  if (base->kind != serve::Request::Kind::kPatternProb) {
-    return Bad("\"kind\" must be \"pattern_prob\" for a sweep");
-  }
   const unsigned m = base->model.model().size();
 
   const JsonValue* params_value = root.Find("params");
@@ -403,15 +419,13 @@ StatusOr<WireSweepRequest> SweepRequestFromJson(const JsonValue& root) {
     params.push_back(std::move(point));
   }
 
-  return WireSweepRequest(base->id, base->deadline_ns, std::move(base->model),
-                          std::move(base->pattern), std::move(params));
+  WireRequest& shape = base.value();
+  return WireSweepRequest(shape.id, shape.deadline_ns, std::move(shape.model),
+                          std::move(shape.pattern), std::move(params));
 }
 
 std::string JsonFromWireSweepResponse(const WireSweepResponse& response) {
-  std::string out = "{";
-  out += "\"id\":" + std::to_string(response.id);
-  out += ",\"status\":" + JsonQuote(StatusCodeName(response.status.code()));
-  out += ",\"message\":" + JsonQuote(response.status.message());
+  std::string out = JsonStatusPrefix(response.id, response.status);
   out += ",\"probabilities\":[";
   for (std::size_t i = 0; i < response.probabilities.size(); ++i) {
     if (i != 0) out += ",";
@@ -422,11 +436,8 @@ std::string JsonFromWireSweepResponse(const WireSweepResponse& response) {
 }
 
 StatusOr<WireHardRequest> HardRequestFromJson(const JsonValue& root) {
-  StatusOr<WireRequest> base = WireRequestFromJson(root);
+  StatusOr<WireRequest> base = CompositeBaseFromJson(root, "a hard query");
   if (!base.ok()) return base.status();
-  if (base->kind != serve::Request::Kind::kPatternProb) {
-    return Bad("\"kind\" must be \"pattern_prob\" for a hard query");
-  }
   double target = 0.0;
   if (const JsonValue* target_value = root.Find("target")) {
     if (!target_value->IsNumber() ||
@@ -435,15 +446,13 @@ StatusOr<WireHardRequest> HardRequestFromJson(const JsonValue& root) {
     }
     target = target_value->number;
   }
-  return WireHardRequest(base->id, base->deadline_ns, target,
-                         std::move(base->model), std::move(base->pattern));
+  WireRequest& shape = base.value();
+  return WireHardRequest(shape.id, shape.deadline_ns, target,
+                         std::move(shape.model), std::move(shape.pattern));
 }
 
 std::string JsonFromWireHardResponse(const WireHardResponse& response) {
-  std::string out = "{";
-  out += "\"id\":" + std::to_string(response.id);
-  out += ",\"status\":" + JsonQuote(StatusCodeName(response.status.code()));
-  out += ",\"message\":" + JsonQuote(response.status.message());
+  std::string out = JsonStatusPrefix(response.id, response.status);
   out += ",\"estimate\":" + FormatDouble(response.estimate);
   out += ",\"std_error\":" + FormatDouble(response.std_error);
   out += ",\"n_samples\":" + std::to_string(response.n_samples);
@@ -473,25 +482,20 @@ StatusOr<WireConsensusRequest> ConsensusRequestFromJson(const JsonValue& root) {
     pattern.object.emplace_back("nodes", std::move(nodes));
     patched.object.emplace_back("pattern", std::move(pattern));
   }
-  StatusOr<WireRequest> base = WireRequestFromJson(patched);
+  StatusOr<WireRequest> base = CompositeBaseFromJson(patched, "consensus");
   if (!base.ok()) return base.status();
-  if (base->kind != serve::Request::Kind::kPatternProb) {
-    return Bad("\"kind\" must be \"pattern_prob\" for consensus");
-  }
   if (base->pattern.NodeCount() != 0) {
     return Bad("consensus takes no pattern");
   }
-  return WireConsensusRequest(base->id, base->deadline_ns,
+  WireRequest& shape = base.value();
+  return WireConsensusRequest(shape.id, shape.deadline_ns,
                               static_cast<std::uint32_t>(top_k),
-                              std::move(base->model));
+                              std::move(shape.model));
 }
 
 std::string JsonFromWireConsensusResponse(
     const WireConsensusResponse& response) {
-  std::string out = "{";
-  out += "\"id\":" + std::to_string(response.id);
-  out += ",\"status\":" + JsonQuote(StatusCodeName(response.status.code()));
-  out += ",\"message\":" + JsonQuote(response.status.message());
+  std::string out = JsonStatusPrefix(response.id, response.status);
   out += ",\"ranking\":[";
   for (std::size_t i = 0; i < response.ranking.size(); ++i) {
     if (i != 0) out += ",";
@@ -508,10 +512,7 @@ std::string JsonFromWireConsensusResponse(
 }
 
 std::string JsonFromWireResponse(const WireResponse& response) {
-  std::string out = "{";
-  out += "\"id\":" + std::to_string(response.id);
-  out += ",\"status\":" + JsonQuote(StatusCodeName(response.status.code()));
-  out += ",\"message\":" + JsonQuote(response.status.message());
+  std::string out = JsonStatusPrefix(response.id, response.status);
   out += ",\"probability\":" + FormatDouble(response.probability);
   out += ",\"approximate\":";
   out += response.approximate ? "true" : "false";

@@ -128,19 +128,12 @@ struct WireHardRequest {
   infer::LabelPattern pattern;
 };
 
-/// The hard-tier answer: a point estimate with its standard error and the
-/// sampling disposition (how many worlds, and why sampling stopped).
-struct WireHardResponse {
+/// The hard-tier answer: the serve layer's estimate (a point estimate with
+/// its standard error and the sampling disposition — how many worlds, and
+/// why sampling stopped) plus the echoed id and the status.
+struct WireHardResponse : serve::HardEstimate {
   std::uint64_t id = 0;
   Status status;
-  double estimate = 0.0;
-  double std_error = 0.0;
-  std::uint64_t n_samples = 0;
-  /// The precision target was reached before the sample cap.
-  bool target_met = false;
-  /// The deadline budget expired mid-run; the answer is honest but coarser
-  /// than asked, and the server never caches it.
-  bool deadline_limited = false;
 };
 
 /// One consensus top-k query: a model and how many items of the consensus
@@ -160,17 +153,12 @@ struct WireConsensusRequest {
   infer::LabeledRimModel model;
 };
 
-/// The consensus answer: the top-k prefix of the footrule-optimal consensus
-/// ranking plus the estimated mean distances from a random world to it.
-struct WireConsensusResponse {
+/// The consensus answer: the serve layer's (the top-k prefix of the
+/// footrule-optimal consensus ranking plus the estimated mean distances
+/// from a random world to it) plus the echoed id and the status.
+struct WireConsensusResponse : serve::ConsensusAnswer {
   std::uint64_t id = 0;
   Status status;
-  std::vector<rim::ItemId> ranking;
-  double mean_footrule = 0.0;
-  double footrule_std_error = 0.0;
-  double mean_kendall = 0.0;
-  double kendall_std_error = 0.0;
-  std::uint64_t n_samples = 0;
 };
 
 /// One answer: `serve::Response` plus the echoed request id.

@@ -61,6 +61,13 @@ const std::vector<infer::LabelId> kNoTracked;
 /// invalid): they carry their own terminal response.
 constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
 
+/// The result-cache key of one exact answer about (model, pattern).
+std::uint64_t ResultKey(std::uint64_t plan_key, Request::Kind kind) {
+  return HashCombine(plan_key, kind == Request::Kind::kPatternProb
+                                   ? kKeyPatternProb
+                                   : kKeyTopMatching);
+}
+
 std::uint64_t StageIdx(obs::Stage stage) {
   return static_cast<unsigned>(stage);
 }
@@ -166,6 +173,43 @@ struct Server::Outcome {
   bool cache_ok = false;
 };
 
+/// What Guarded hands a compute step: the resolved deadline and the run
+/// control built from it, plus the call's trace once sampled. Never moved:
+/// `control` points into `run`.
+struct Server::Call {
+  Call(const obs::Tracer& tracer_in, std::uint64_t deadline_ns_in,
+       const CancellationToken* cancel)
+      : tracer(tracer_in), deadline_ns(deadline_ns_in) {
+    if (deadline_ns != 0) run.deadline = Deadline::After(deadline_ns);
+    run.cancel = cancel;
+    if (deadline_ns != 0 || cancel != nullptr) control = &run;
+  }
+  Call(const Call&) = delete;
+  Call& operator=(const Call&) = delete;
+
+  /// Samples the call for tracing, deterministically on `fingerprint` (a
+  /// content key, like every trace decision), and returns the record to
+  /// time spans into, or null.
+  obs::TraceRecord* Trace(std::uint64_t fingerprint) {
+    if (tracer.sample_permyriad() > 0 && tracer.ShouldSample(fingerprint)) {
+      record.fingerprint = fingerprint;
+      record.start_ns = MonotonicNowNs();
+      trace = &record;
+    }
+    return trace;
+  }
+
+  const obs::Tracer& tracer;
+  /// The resolved deadline *value* (0 = none).
+  const std::uint64_t deadline_ns;
+  RunControl run;
+  /// `&run`, or null when neither a deadline nor a token applies.
+  const RunControl* control = nullptr;
+  /// Set once Trace() samples the call.
+  obs::TraceRecord* trace = nullptr;
+  obs::TraceRecord record;
+};
+
 /// The server's registry-backed instruments. Counters are the `ServerStats`
 /// surface (always on, one relaxed add per event — the same cost as the
 /// plain atomics they replaced); gauges are refreshed at scrape time;
@@ -184,6 +228,7 @@ struct Server::Instruments {
   obs::Counter& circuit_eval_ns;
   obs::Counter& shed;
   obs::Counter& invalid;
+  obs::Counter& size_refused;
   obs::Counter& deadline_exceeded;
   obs::Counter& cancelled;
   obs::Counter& degraded;
@@ -275,6 +320,8 @@ struct Server::Instruments {
                           "Requests shed by admission control")),
         invalid(r.GetCounter("ppref_serve_invalid_total",
                              "Requests rejected by validation")),
+        size_refused(r.GetCounter("ppref_serve_size_refused_total",
+                                  "Requests refused by a size guard")),
         deadline_exceeded(
             r.GetCounter("ppref_serve_deadline_exceeded_total",
                          "Requests stopped by their deadline")),
@@ -406,28 +453,6 @@ struct Server::Instruments {
             "Consensus sampling + footrule aggregation, per query")) {}
 };
 
-/// Scoped in-flight depth accounting: admission increments, completion
-/// decrements, and the peak watermark is maintained with a CAS loop.
-/// Legacy entry points admit unconditionally through this; the status
-/// entry points go through TryAdmit/AdmissionRelease instead, which
-/// respect max_in_flight.
-class Server::InFlight {
- public:
-  InFlight(Server& server, std::uint64_t count) : server_(server), count_(count) {
-    const std::uint64_t now =
-        server_.in_flight_.fetch_add(count_, std::memory_order_relaxed) + count_;
-    std::uint64_t peak = server_.in_flight_peak_.load(std::memory_order_relaxed);
-    while (peak < now && !server_.in_flight_peak_.compare_exchange_weak(
-                             peak, now, std::memory_order_relaxed)) {
-    }
-  }
-  ~InFlight() { server_.in_flight_.fetch_sub(count_, std::memory_order_relaxed); }
-
- private:
-  Server& server_;
-  std::uint64_t count_;
-};
-
 /// RAII release of TryAdmit'ed slots (release exactly what was granted,
 /// which may be fewer than requested under load shedding).
 class Server::AdmissionRelease {
@@ -463,18 +488,20 @@ Server::Server(ServerOptions options)
 
 Server::~Server() = default;
 
-Status Server::Validate(const Request& request) const {
-  if (request.model == nullptr) {
+Status Server::Validate(const infer::LabeledRimModel* model,
+                        const infer::LabelPattern* pattern,
+                        Request::Kind kind) const {
+  if (model == nullptr) {
     return Status::InvalidArgument("request.model is null");
   }
-  if (request.pattern == nullptr) {
+  if (pattern == nullptr) {
     return Status::InvalidArgument("request.pattern is null");
   }
-  if (request.kind != Request::Kind::kPatternProb &&
-      request.kind != Request::Kind::kTopMatching) {
+  if (kind != Request::Kind::kPatternProb &&
+      kind != Request::Kind::kTopMatching) {
     return Status::InvalidArgument("unknown request kind");
   }
-  if (request.model->size() >= infer::internal::kUnsetPosition) {
+  if (model->size() >= infer::internal::kUnsetPosition) {
     return Status::InvalidArgument(
         "model too large for the 16-bit DP position encoding");
   }
@@ -482,9 +509,9 @@ Status Server::Validate(const Request& request) const {
   // handles it (probability 0), but at the serving boundary it is far more
   // likely a malformed request than a deliberate query, so refuse it with a
   // diagnostic instead of silently answering 0.
-  const infer::ItemLabeling& labeling = request.model->labeling();
-  for (unsigned node = 0; node < request.pattern->NodeCount(); ++node) {
-    const infer::LabelId label = request.pattern->NodeLabel(node);
+  const infer::ItemLabeling& labeling = model->labeling();
+  for (unsigned node = 0; node < pattern->NodeCount(); ++node) {
+    const infer::LabelId label = pattern->NodeLabel(node);
     if (labeling.ItemsWith(label).empty()) {
       return Status::InvalidArgument("pattern label " + std::to_string(label) +
                                      " matches no item of the model");
@@ -493,9 +520,79 @@ Status Server::Validate(const Request& request) const {
   return Status::Ok();
 }
 
-std::size_t Server::TryAdmit(std::size_t want) {
+Status Server::PatternSizeGuard(const infer::LabelPattern& pattern) const {
+  if (options_.max_pattern_nodes == 0 ||
+      pattern.NodeCount() <= options_.max_pattern_nodes) {
+    return Status::Ok();
+  }
+  return Status::ResourceExhausted(
+      "pattern has " + std::to_string(pattern.NodeCount()) +
+      " nodes, over the server limit of " +
+      std::to_string(options_.max_pattern_nodes));
+}
+
+std::uint64_t Server::DeadlineOf(const RequestControl& control) const {
+  return control.deadline_ns != 0 ? control.deadline_ns
+                                  : options_.default_deadline_ns;
+}
+
+template <typename Body>
+Status Server::Protect(const Body& body) {
+  try {
+    body();
+    return Status::Ok();
+  } catch (const CancelledError& e) {
+    instruments_->cancelled.Inc();
+    return Status::Cancelled(e.what());
+  } catch (const DeadlineExceededError& e) {
+    instruments_->deadline_exceeded.Inc();
+    return Status::DeadlineExceeded(e.what());
+  } catch (const std::exception& e) {
+    instruments_->internal_errors.Inc();
+    return Status::Internal(e.what());
+  } catch (...) {
+    instruments_->internal_errors.Inc();
+    return Status::Internal("unknown exception during compute");
+  }
+}
+
+template <typename T, typename Check, typename Step>
+StatusOr<T> Server::Guarded(const RequestControl& control, const Check& check,
+                            const Step& step) {
+  instruments_->requests.Inc();
+  if (Status refused = check(); !refused.ok()) {
+    (refused.code() == StatusCode::kInvalidArgument
+         ? instruments_->invalid
+         : instruments_->size_refused)
+        .Inc();
+    return refused;
+  }
+  // One admission slot covers the whole call, however much work it fans
+  // out to (sweep points, pooled patterns, consensus worlds).
+  if (TryAdmit(1) == 0) {
+    instruments_->shed.Inc();
+    return Status::ResourceExhausted(
+        "shed by admission control (server full); retry after " +
+        std::to_string(RetryAfterHintNs()) + "ns");
+  }
+  const AdmissionRelease release(*this, 1);
+  Call call(tracer_, DeadlineOf(control), control.cancel);
+  std::optional<T> answer;
+  const Status status = Protect([&] { answer.emplace(step(call)); });
+  // Published only here, after `step` returned or unwound: every span
+  // it opened has closed and added its time to the record.
+  if (call.trace != nullptr) {
+    call.record.end_ns = MonotonicNowNs();
+    call.record.status_code = static_cast<std::uint8_t>(status.code());
+    tracer_.Publish(call.record);
+  }
+  if (!status.ok()) return status;
+  return *std::move(answer);
+}
+
+std::size_t Server::TryAdmit(std::size_t want, bool bounded) {
   std::size_t granted = want;
-  if (options_.max_in_flight == 0) {
+  if (!bounded || options_.max_in_flight == 0) {
     in_flight_.fetch_add(want, std::memory_order_relaxed);
   } else {
     // CAS loop: claim as many of `want` slots as fit under the limit.
@@ -534,83 +631,44 @@ std::uint64_t Server::RetryAfterHintNs() const {
   return std::max<std::uint64_t>(1'000'000, busy / served);
 }
 
-std::shared_ptr<const Server::CachedResult> Server::LookupResult(
-    std::uint64_t result_key) {
-  if (PPREF_FAULT_FORCED_RESULT_MISS()) return nullptr;
-  if (auto hit = result_cache_.Get(result_key)) return hit;
-  if (options_.store == nullptr) return nullptr;
-  const auto fetch = options_.store->Get(store::RecordKind::kResult, result_key);
+template <typename Decode>
+auto Server::LoadFromStore(store::RecordKind kind, std::uint64_t key,
+                           obs::TraceRecord* trace, const Decode& decode) {
+  using Entry = decltype(decode(std::declval<store::Store::Fetch&>()));
+  if (options_.store == nullptr) return Entry();
+  std::optional<store::Store::Fetch> fetch = options_.store->Get(kind, key);
   if (!fetch.has_value()) {
     instruments_->store_misses.Inc();
-    return nullptr;
-  }
-  const std::uint64_t start = MonotonicNowNs();
-  auto decoded = store::DecodeResultPayload(fetch->bytes);
-  if (!decoded.has_value()) {
-    instruments_->store_corrupt.Inc();
-    instruments_->store_misses.Inc();
-    return nullptr;
-  }
-  instruments_->store_load_ns.Inc(MonotonicNowNs() - start);
-  instruments_->store_hits.Inc();
-  // Promote into the LRU so the next lookup skips the decode.
-  return result_cache_.Put(
-      result_key,
-      std::make_shared<const CachedResult>(CachedResult{
-          decoded->probability, std::move(decoded->top_matching)}));
-}
-
-std::shared_ptr<const Server::CachedPlan> Server::LoadPlanFromStore(
-    std::uint64_t plan_key, obs::TraceRecord* trace) {
-  if (options_.store == nullptr) return nullptr;
-  const auto fetch = options_.store->Get(store::RecordKind::kPlan, plan_key);
-  if (!fetch.has_value()) {
-    instruments_->store_misses.Inc();
-    return nullptr;
+    return Entry();
   }
   const obs::TraceSpan span(trace, obs::Stage::kStoreLoad);
   const std::uint64_t start = MonotonicNowNs();
-  auto decoded = store::DecodePlanPayload(fetch->bytes);
-  if (!decoded.has_value()) {
+  Entry entry = decode(*fetch);
+  if (entry == nullptr) {
     instruments_->store_corrupt.Inc();
     instruments_->store_misses.Inc();
-    return nullptr;
+    return entry;
   }
-  // A plan record is self-contained: the decoded model/pattern/tracked plus
-  // the derived state rebuild the DpPlan without compiling (the normal
-  // path); derived bytes from a drifted build fall back to compiling from
-  // the decoded inputs, which is still correct — just not fast.
-  bool restored = false;
-  auto entry = std::make_shared<const CachedPlan>(*std::move(decoded), restored);
   instruments_->store_load_ns.Inc(MonotonicNowNs() - start);
-  if (!restored) instruments_->store_corrupt.Inc();
   instruments_->store_hits.Inc();
   return entry;
 }
 
-std::shared_ptr<const Server::CachedCircuit> Server::LoadCircuitFromStore(
-    std::uint64_t circuit_key, obs::TraceRecord* trace) {
-  if (options_.store == nullptr) return nullptr;
-  auto fetch = options_.store->Get(store::RecordKind::kCircuit, circuit_key);
-  if (!fetch.has_value()) {
-    instruments_->store_misses.Inc();
-    return nullptr;
-  }
-  const obs::TraceSpan span(trace, obs::Stage::kStoreLoad);
-  const std::uint64_t start = MonotonicNowNs();
-  // The fetch's owner rides into the circuit: a record served out of a
-  // mapped segment is borrowed zero-copy, and the mapping stays alive for
-  // as long as the cached circuit does.
-  auto circuit =
-      store::DecodeCircuitPayload(fetch->bytes, std::move(fetch->owner));
-  if (!circuit.has_value()) {
-    instruments_->store_corrupt.Inc();
-    instruments_->store_misses.Inc();
-    return nullptr;
-  }
-  instruments_->store_load_ns.Inc(MonotonicNowNs() - start);
-  instruments_->store_hits.Inc();
-  return std::make_shared<const CachedCircuit>(*std::move(circuit));
+std::shared_ptr<const Server::CachedResult> Server::LookupResult(
+    std::uint64_t result_key) {
+  if (PPREF_FAULT_FORCED_RESULT_MISS()) return nullptr;
+  if (auto hit = result_cache_.Get(result_key)) return hit;
+  std::shared_ptr<const CachedResult> loaded = LoadFromStore(
+      store::RecordKind::kResult, result_key, /*trace=*/nullptr,
+      [](store::Store::Fetch& fetch) -> std::shared_ptr<const CachedResult> {
+        auto decoded = store::DecodeResultPayload(fetch.bytes);
+        if (!decoded.has_value()) return nullptr;
+        return std::make_shared<const CachedResult>(CachedResult{
+            decoded->probability, std::move(decoded->top_matching)});
+      });
+  // Promote into the LRU so the next lookup skips the decode.
+  if (loaded == nullptr) return nullptr;
+  return result_cache_.Put(result_key, std::move(loaded));
 }
 
 void Server::StoreResult(std::uint64_t result_key, const CachedResult& result) {
@@ -628,7 +686,25 @@ std::shared_ptr<const Server::CachedPlan> Server::PlanFor(
   const auto compile = [&]() -> std::shared_ptr<const CachedPlan> {
     PPREF_FAULT_PLAN_COMPILE();
     if (control != nullptr) control->Check();
-    if (auto loaded = LoadPlanFromStore(plan_key, trace)) return loaded;
+    const auto restore =
+        [&](store::Store::Fetch& fetch) -> std::shared_ptr<const CachedPlan> {
+      auto decoded = store::DecodePlanPayload(fetch.bytes);
+      if (!decoded.has_value()) return nullptr;
+      // A plan record is self-contained: the decoded model/pattern/tracked
+      // plus the derived state rebuild the DpPlan without compiling (the
+      // normal path); derived bytes from a drifted build fall back to
+      // compiling from the decoded inputs, which is still correct — just
+      // not fast.
+      bool restored = false;
+      auto entry =
+          std::make_shared<const CachedPlan>(*std::move(decoded), restored);
+      if (!restored) instruments_->store_corrupt.Inc();
+      return entry;
+    };
+    if (auto loaded =
+            LoadFromStore(store::RecordKind::kPlan, plan_key, trace, restore)) {
+      return loaded;
+    }
     const obs::TraceSpan span(trace, obs::Stage::kPlanCompile);
     const std::uint64_t start = MonotonicNowNs();
     auto entry = std::make_shared<const CachedPlan>(model, pattern, tracked);
@@ -666,7 +742,20 @@ std::shared_ptr<const Server::CachedCircuit> Server::CircuitFor(
     obs::TraceRecord* trace) {
   const auto compile = [&]() -> std::shared_ptr<const CachedCircuit> {
     if (control != nullptr) control->Check();
-    if (auto loaded = LoadCircuitFromStore(circuit_key, trace)) return loaded;
+    // The fetch's owner rides into the circuit: a record served out of a
+    // mapped segment is borrowed zero-copy, and the mapping stays alive for
+    // as long as the cached circuit does.
+    const auto restore =
+        [](store::Store::Fetch& fetch) -> std::shared_ptr<const CachedCircuit> {
+      auto circuit =
+          store::DecodeCircuitPayload(fetch.bytes, std::move(fetch.owner));
+      if (!circuit.has_value()) return nullptr;
+      return std::make_shared<const CachedCircuit>(*std::move(circuit));
+    };
+    if (auto loaded = LoadFromStore(store::RecordKind::kCircuit, circuit_key,
+                                    trace, restore)) {
+      return loaded;
+    }
     // Circuits compile *from* plans, so a sweep warms the plan cache for
     // later point queries against the same (model, pattern) — and reuses a
     // plan such queries already compiled.
@@ -718,7 +807,6 @@ Server::CachedResult Server::Compute(const Request& request,
                    control, trace);
   }
   infer::PatternProbOptions exec;
-  exec.threads = options_.matching_threads;
   exec.control = control;
   CachedResult result;
   const obs::TraceSpan span(trace, obs::Stage::kDpExecute);
@@ -827,93 +915,60 @@ Server::Outcome Server::ComputeGuarded(const Request& request,
                                        std::uint64_t deadline_ns,
                                        const RunControl* control,
                                        obs::TraceRecord* trace) {
+  const bool degrade =
+      options_.degradation == ServerOptions::Degradation::kMonteCarlo;
   // Size guard first: an over-budget pattern is refused (or degraded)
   // *before* any exponential work starts. The size-guard fallback carries
   // no deadline mapping — the pattern, not time pressure, is the problem —
   // so it always spends the full degraded budget, deterministically.
-  if (options_.max_pattern_nodes != 0 &&
-      request.pattern->NodeCount() > options_.max_pattern_nodes) {
-    Status status = Status::ResourceExhausted(
-        "pattern has " + std::to_string(request.pattern->NodeCount()) +
-        " nodes, over the server limit of " +
-        std::to_string(options_.max_pattern_nodes));
-    if (options_.degradation == ServerOptions::Degradation::kMonteCarlo) {
-      return Degrade(request, result_key, /*deadline_ns=*/0, std::move(status),
-                     trace);
+  Outcome outcome;
+  outcome.status = PatternSizeGuard(*request.pattern);
+  if (!outcome.status.ok()) {
+    if (degrade) {
+      return Degrade(request, result_key, /*deadline_ns=*/0,
+                     std::move(outcome.status), trace);
     }
-    Outcome outcome;
-    outcome.status = std::move(status);
+    instruments_->size_refused.Inc();
     return outcome;
   }
-  try {
-    Outcome outcome;
-    outcome.result = Compute(request, plan_key, control, trace);
-    outcome.status = Status::Ok();
-    outcome.cache_ok = true;
-    return outcome;
-  } catch (const CancelledError& e) {
-    instruments_->cancelled.Inc();
-    Outcome outcome;
-    outcome.status = Status::Cancelled(e.what());
-    return outcome;
-  } catch (const DeadlineExceededError& e) {
-    instruments_->deadline_exceeded.Inc();
-    Status status = Status::DeadlineExceeded(e.what());
-    if (options_.degradation == ServerOptions::Degradation::kMonteCarlo) {
-      return Degrade(request, result_key, deadline_ns, std::move(status),
-                     trace);
-    }
-    Outcome outcome;
-    outcome.status = std::move(status);
-    return outcome;
-  } catch (const std::exception& e) {
-    instruments_->internal_errors.Inc();
-    Outcome outcome;
-    outcome.status = Status::Internal(e.what());
-    return outcome;
-  } catch (...) {
-    instruments_->internal_errors.Inc();
-    Outcome outcome;
-    outcome.status = Status::Internal("unknown exception during compute");
-    return outcome;
+  outcome.status = Protect(
+      [&] { outcome.result = Compute(request, plan_key, control, trace); });
+  outcome.cache_ok = outcome.status.ok();
+  if (degrade && outcome.status.code() == StatusCode::kDeadlineExceeded) {
+    return Degrade(request, result_key, deadline_ns, std::move(outcome.status),
+                   trace);
   }
+  return outcome;
+}
+
+std::shared_ptr<const Server::CachedResult> Server::Memoized(
+    const infer::LabeledRimModel& model, const infer::LabelPattern& pattern,
+    Request::Kind kind) {
+  instruments_->requests.Inc();
+  const AdmissionRelease release(*this, TryAdmit(1, /*bounded=*/false));
+  const std::uint64_t plan_key = PlanKey(model, pattern, kNoTracked);
+  const std::uint64_t result_key = ResultKey(plan_key, kind);
+  if (auto hit = LookupResult(result_key)) return hit;
+  Request request;
+  request.kind = kind;
+  request.model = &model;
+  request.pattern = &pattern;
+  std::shared_ptr<const CachedResult> value = result_cache_.Put(
+      result_key,
+      std::make_shared<const CachedResult>(Compute(request, plan_key)));
+  StoreResult(result_key, *value);
+  return value;
 }
 
 double Server::PatternProbability(const infer::LabeledRimModel& model,
                                   const infer::LabelPattern& pattern) {
-  instruments_->requests.Inc();
-  const InFlight guard(*this, 1);
-  const std::uint64_t plan_key = PlanKey(model, pattern, kNoTracked);
-  const std::uint64_t result_key = HashCombine(plan_key, kKeyPatternProb);
-  if (auto hit = LookupResult(result_key)) return hit->probability;
-  Request request;
-  request.kind = Request::Kind::kPatternProb;
-  request.model = &model;
-  request.pattern = &pattern;
-  const std::shared_ptr<const CachedResult> value = result_cache_.Put(
-      result_key,
-      std::make_shared<const CachedResult>(Compute(request, plan_key)));
-  StoreResult(result_key, *value);
-  return value->probability;
+  return Memoized(model, pattern, Request::Kind::kPatternProb)->probability;
 }
 
 std::optional<std::pair<infer::Matching, double>> Server::MostProbableTopMatching(
     const infer::LabeledRimModel& model, const infer::LabelPattern& pattern) {
-  instruments_->requests.Inc();
-  const InFlight guard(*this, 1);
-  const std::uint64_t plan_key = PlanKey(model, pattern, kNoTracked);
-  const std::uint64_t result_key = HashCombine(plan_key, kKeyTopMatching);
-  std::shared_ptr<const CachedResult> value = LookupResult(result_key);
-  if (!value) {
-    Request request;
-    request.kind = Request::Kind::kTopMatching;
-    request.model = &model;
-    request.pattern = &pattern;
-    value = result_cache_.Put(
-        result_key,
-        std::make_shared<const CachedResult>(Compute(request, plan_key)));
-    StoreResult(result_key, *value);
-  }
+  const std::shared_ptr<const CachedResult> value =
+      Memoized(model, pattern, Request::Kind::kTopMatching);
   if (!value->top_matching.has_value()) return std::nullopt;
   return std::make_pair(*value->top_matching, value->probability);
 }
@@ -924,7 +979,7 @@ double Server::PatternMinMaxProbability(
     const infer::MinMaxCondition& condition,
     std::uint64_t condition_fingerprint) {
   instruments_->requests.Inc();
-  const InFlight guard(*this, 1);
+  const AdmissionRelease release(*this, TryAdmit(1, /*bounded=*/false));
   const std::uint64_t plan_key = PlanKey(model, pattern, tracked);
   const bool cacheable = condition_fingerprint != 0;
   const std::uint64_t result_key =
@@ -934,11 +989,9 @@ double Server::PatternMinMaxProbability(
   }
   const std::shared_ptr<const CachedPlan> plan =
       PlanFor(model, pattern, tracked, plan_key);
-  infer::PatternProbOptions exec;
-  exec.threads = options_.matching_threads;
   const std::uint64_t start = MonotonicNowNs();
   const double probability =
-      infer::PatternMinMaxProbWithPlan(plan->plan, condition, exec);
+      infer::PatternMinMaxProbWithPlan(plan->plan, condition);
   const std::uint64_t elapsed = MonotonicNowNs() - start;
   instruments_->execute_ns.Inc(elapsed);
   if (options_.latency_histograms) instruments_->dp_execute_ns.Record(elapsed);
@@ -959,85 +1012,43 @@ StatusOr<std::vector<double>> Server::PatternProbSweep(
     const infer::LabeledRimModel& model, const infer::LabelPattern& pattern,
     const std::vector<std::vector<double>>& params,
     const RequestControl& control) {
-  instruments_->requests.Inc();
   instruments_->sweep_requests.Inc();
-
-  // Validation: the shared request checks, then the sweep-specific shape
-  // of the parameter grid. Dispersions are range-checked *here* so a bad
-  // point comes back as kInvalidArgument instead of aborting inside the
-  // Mallows constructor.
-  Request probe;
-  probe.kind = Request::Kind::kPatternProb;
-  probe.model = &model;
-  probe.pattern = &pattern;
-  if (Status status = Validate(probe); !status.ok()) {
-    instruments_->invalid.Inc();
-    return status;
-  }
   const unsigned m = model.model().size();
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    const std::vector<double>& point = params[i];
-    if (point.size() != 1 && point.size() != m) {
-      instruments_->invalid.Inc();
-      return Status::InvalidArgument(
-          "params[" + std::to_string(i) + "] has " +
-          std::to_string(point.size()) + " dispersions; expected 1 (Mallows) "
-          "or " + std::to_string(m) + " (generalized Mallows)");
+  // Validation: the shared request checks, then the sweep-specific shape of
+  // the parameter grid. Dispersions are range-checked *here* so a bad point
+  // comes back as kInvalidArgument instead of aborting inside the Mallows
+  // constructor. The size guard applies as to any other request; sweeps
+  // are an exact-only modality, so there is no Monte-Carlo fallback here.
+  const auto check = [&]() -> Status {
+    if (Status status = Validate(&model, &pattern); !status.ok()) {
+      return status;
     }
-    for (double phi : point) {
-      if (!(phi > 0.0 && phi <= 1.0)) {
-        instruments_->invalid.Inc();
-        return Status::InvalidArgument("dispersion in params[" +
-                                       std::to_string(i) +
-                                       "] is outside (0, 1]");
+    for (std::size_t i = 0; i < params.size(); ++i) {
+      const std::vector<double>& point = params[i];
+      if (point.size() != 1 && point.size() != m) {
+        return Status::InvalidArgument(
+            "params[" + std::to_string(i) + "] has " +
+            std::to_string(point.size()) +
+            " dispersions; expected 1 (Mallows) or " + std::to_string(m) +
+            " (generalized Mallows)");
+      }
+      for (double phi : point) {
+        if (!(phi > 0.0 && phi <= 1.0)) {
+          return Status::InvalidArgument("dispersion in params[" +
+                                         std::to_string(i) +
+                                         "] is outside (0, 1]");
+        }
       }
     }
-  }
-  // The size guard applies as to any other request; sweeps are an
-  // exact-only modality, so there is no Monte-Carlo fallback here.
-  if (options_.max_pattern_nodes != 0 &&
-      pattern.NodeCount() > options_.max_pattern_nodes) {
-    return Status::ResourceExhausted(
-        "pattern has " + std::to_string(pattern.NodeCount()) +
-        " nodes, over the server limit of " +
-        std::to_string(options_.max_pattern_nodes));
-  }
-
-  // One admission slot covers the whole sweep: the expensive part (compile)
-  // happens once, and per-point evaluation is a linear arena pass.
-  if (TryAdmit(1) == 0) {
-    instruments_->shed.Inc();
-    return Status::ResourceExhausted(
-        "shed by admission control (server full); retry after " +
-        std::to_string(RetryAfterHintNs()) + "ns");
-  }
-  const AdmissionRelease release(*this, 1);
-
-  const std::uint64_t circuit_key = CircuitKey(model, pattern);
-  const std::uint64_t deadline_ns = control.deadline_ns != 0
-                                        ? control.deadline_ns
-                                        : options_.default_deadline_ns;
-  const bool has_control = deadline_ns != 0 || control.cancel != nullptr;
-  RunControl run;
-  if (deadline_ns != 0) run.deadline = Deadline::After(deadline_ns);
-  run.cancel = control.cancel;
-
-  // Deterministic trace sampling, keyed like everything else on content:
-  // the circuit key in the sweep domain.
-  obs::TraceRecord trace_storage;
-  obs::TraceRecord* trace = nullptr;
-  const std::uint64_t sweep_fingerprint = HashCombine(circuit_key, kKeySweep);
-  if (tracer_.sample_permyriad() > 0 &&
-      tracer_.ShouldSample(sweep_fingerprint)) {
-    trace = &trace_storage;
-    trace->fingerprint = sweep_fingerprint;
-    trace->start_ns = MonotonicNowNs();
-  }
-
-  try {
+    return PatternSizeGuard(pattern);
+  };
+  return Guarded<std::vector<double>>(control, check, [&](Call& call) {
+    const std::uint64_t circuit_key = CircuitKey(model, pattern);
+    // Deterministic trace sampling, keyed like everything else on content:
+    // the circuit key in the sweep domain.
+    obs::TraceRecord* trace = call.Trace(HashCombine(circuit_key, kKeySweep));
     const std::shared_ptr<const CachedCircuit> entry =
-        CircuitFor(model, pattern, circuit_key,
-                   has_control ? &run : nullptr, trace);
+        CircuitFor(model, pattern, circuit_key, call.control, trace);
     std::vector<double> answers(params.size());
     circuit::EvalScratch scratch;
     const obs::TraceSpan span(trace, obs::Stage::kCircuitEval);
@@ -1048,9 +1059,8 @@ StatusOr<std::vector<double>> Server::PatternProbSweep(
     constexpr std::size_t kSweepChunk = 8 * circuit::kEvalLanes;
     std::vector<rim::InsertionFunction> bindings;
     bindings.reserve(std::min(params.size(), kSweepChunk));
-    for (std::size_t begin = 0; begin < params.size();
-         begin += kSweepChunk) {
-      if (has_control) run.Check();
+    for (std::size_t begin = 0; begin < params.size(); begin += kSweepChunk) {
+      if (call.control != nullptr) call.control->Check();
       const std::size_t end = std::min(begin + kSweepChunk, params.size());
       bindings.clear();
       for (std::size_t i = begin; i < end; ++i) {
@@ -1070,25 +1080,8 @@ StatusOr<std::vector<double>> Server::PatternProbSweep(
       instruments_->circuit_point_ns.RecordMany(elapsed / params.size(),
                                                 params.size());
     }
-    if (trace != nullptr) {
-      trace->end_ns = MonotonicNowNs();
-      trace->status_code = static_cast<std::uint8_t>(StatusCode::kOk);
-      tracer_.Publish(*trace);
-    }
     return answers;
-  } catch (const CancelledError& e) {
-    instruments_->cancelled.Inc();
-    return Status::Cancelled(e.what());
-  } catch (const DeadlineExceededError& e) {
-    instruments_->deadline_exceeded.Inc();
-    return Status::DeadlineExceeded(e.what());
-  } catch (const std::exception& e) {
-    instruments_->internal_errors.Inc();
-    return Status::Internal(e.what());
-  } catch (...) {
-    instruments_->internal_errors.Inc();
-    return Status::Internal("unknown exception during sweep");
-  }
+  });
 }
 
 double Server::EffectiveHardTarget(double target_half_width,
@@ -1139,111 +1132,77 @@ StatusOr<std::vector<HardEstimate>> Server::HardPatternProbBatch(
     const infer::LabeledRimModel& model,
     const std::vector<const infer::LabelPattern*>& patterns,
     double target_half_width, const RequestControl& control) {
-  instruments_->requests.Inc();
   instruments_->hard_batches.Inc();
   instruments_->hard_requests.Inc(patterns.size());
-
   // Validation: every pattern passes the shared request checks against the
   // one model. A bad pattern fails the whole batch — partial pooled batches
   // would silently change which queries share the world stream's cost.
-  for (std::size_t q = 0; q < patterns.size(); ++q) {
-    Request probe;
-    probe.kind = Request::Kind::kPatternProb;
-    probe.model = &model;
-    probe.pattern = patterns[q];
-    if (Status status = Validate(probe); !status.ok()) {
-      instruments_->invalid.Inc();
-      return Status::InvalidArgument("patterns[" + std::to_string(q) +
-                                     "]: " + status.message());
+  const auto check = [&]() -> Status {
+    for (std::size_t q = 0; q < patterns.size(); ++q) {
+      if (Status status = Validate(&model, patterns[q]); !status.ok()) {
+        return Status::InvalidArgument("patterns[" + std::to_string(q) +
+                                       "]: " + status.message());
+      }
     }
-  }
-  if (patterns.empty()) return std::vector<HardEstimate>{};
-
-  // One admission slot covers the whole pooled batch — the expensive part
-  // (the shared world stream) is drawn once, however many queries ride it.
-  if (TryAdmit(1) == 0) {
-    instruments_->shed.Inc();
-    return Status::ResourceExhausted(
-        "shed by admission control (server full); retry after " +
-        std::to_string(RetryAfterHintNs()) + "ns");
-  }
-  const AdmissionRelease release(*this, 1);
-
-  const std::uint64_t deadline_ns = control.deadline_ns != 0
-                                        ? control.deadline_ns
-                                        : options_.default_deadline_ns;
-  const double target = EffectiveHardTarget(target_half_width, deadline_ns);
-
-  // Per-query keys and cache probes. Pooled answers are bit-identical to
-  // solo ones (the world stream is seeded from the model alone and each
-  // query's stopping rule is query-local), so cached and freshly pooled
-  // answers mix freely; only the misses sample.
-  std::vector<std::uint64_t> keys(patterns.size());
-  std::vector<HardEstimate> answers(patterns.size());
-  std::vector<std::size_t> misses;
-  for (std::size_t q = 0; q < patterns.size(); ++q) {
-    keys[q] = HardKey(PlanKey(model, *patterns[q], kNoTracked), target);
-    if (const auto hit = hard_cache_.Get(keys[q])) {
-      answers[q].estimate = hit->estimate;
-      answers[q].std_error = hit->std_error;
-      answers[q].n_samples = hit->n_samples;
-      answers[q].target_met = hit->target_met;
-      continue;
+    return Status::Ok();
+  };
+  return Guarded<std::vector<HardEstimate>>(control, check, [&](Call& call) {
+    const double target = EffectiveHardTarget(target_half_width,
+                                              call.deadline_ns);
+    // Per-query keys and cache probes. Pooled answers are bit-identical to
+    // solo ones (the world stream is seeded from the model alone and each
+    // query's stopping rule is query-local), so cached and freshly pooled
+    // answers mix freely; only the misses sample.
+    std::vector<std::uint64_t> keys(patterns.size());
+    std::vector<HardEstimate> answers(patterns.size());
+    std::vector<std::size_t> misses;
+    std::vector<const infer::LabelPattern*> miss_patterns;
+    for (std::size_t q = 0; q < patterns.size(); ++q) {
+      keys[q] = HardKey(PlanKey(model, *patterns[q], kNoTracked), target);
+      if (const auto hit = hard_cache_.Get(keys[q])) {
+        answers[q].estimate = hit->estimate;
+        answers[q].std_error = hit->std_error;
+        answers[q].n_samples = hit->n_samples;
+        answers[q].target_met = hit->target_met;
+        continue;
+      }
+      misses.push_back(q);
+      miss_patterns.push_back(patterns[q]);
     }
-    misses.push_back(q);
-  }
-  if (misses.empty()) return answers;
+    if (misses.empty()) return answers;
+    // Deterministic trace sampling, keyed on the first miss's hard key.
+    obs::TraceRecord* trace = call.Trace(keys[misses.front()]);
 
-  // Deterministic trace sampling, keyed on the first miss's hard key.
-  obs::TraceRecord trace_storage;
-  obs::TraceRecord* trace = nullptr;
-  if (tracer_.sample_permyriad() > 0 &&
-      tracer_.ShouldSample(keys[misses.front()])) {
-    trace = &trace_storage;
-    trace->fingerprint = keys[misses.front()];
-    trace->start_ns = MonotonicNowNs();
-  }
-
-  hard::AdaptiveOptions adaptive;
-  adaptive.target_half_width = target;
-  adaptive.z = options_.hard_z;
-  adaptive.min_samples = options_.hard_min_samples;
-  adaptive.max_samples = std::max(1u, options_.hard_max_samples);
-  adaptive.block_samples = std::max(1u, options_.hard_block_samples);
-  adaptive.threads = effective_threads_;
-  adaptive.seed = HardSeed(model);
-  RunControl cancel_only;
-  cancel_only.cancel = control.cancel;
-  adaptive.control = control.cancel != nullptr ? &cancel_only : nullptr;
-  // The deadline is the non-throwing between-rounds budget: expiry yields
-  // honest deadline-limited answers, not an exception.
-  Deadline budget;
-  if (deadline_ns != 0) budget = Deadline::After(deadline_ns);
-  adaptive.budget = &budget;
-
-  std::vector<const infer::LabelPattern*> miss_patterns;
-  miss_patterns.reserve(misses.size());
-  for (const std::size_t q : misses) miss_patterns.push_back(patterns[q]);
-
-  try {
+    hard::AdaptiveOptions adaptive;
+    adaptive.target_half_width = target;
+    adaptive.z = options_.hard_z;
+    adaptive.min_samples = options_.hard_min_samples;
+    adaptive.max_samples = std::max(1u, options_.hard_max_samples);
+    adaptive.block_samples = std::max(1u, options_.hard_block_samples);
+    adaptive.threads = effective_threads_;
+    adaptive.seed = HardSeed(model);
+    RunControl cancel_only;
+    cancel_only.cancel = call.run.cancel;
+    adaptive.control = cancel_only.cancel != nullptr ? &cancel_only : nullptr;
+    // The deadline is the non-throwing between-rounds budget: expiry yields
+    // honest deadline-limited answers, not an exception.
+    adaptive.budget = &call.run.deadline;
     std::vector<hard::AdaptiveEstimate> pooled;
     {
       const obs::TraceSpan span(trace, obs::Stage::kHardSample);
       const bool timed = options_.latency_histograms;
       const std::uint64_t start = timed ? MonotonicNowNs() : 0;
       pooled = hard::EstimatePatternProbsPooled(model, miss_patterns, adaptive);
-      if (timed) {
-        instruments_->hard_sample_ns.Record(MonotonicNowNs() - start);
-      }
+      if (timed) instruments_->hard_sample_ns.Record(MonotonicNowNs() - start);
     }
     for (std::size_t i = 0; i < misses.size(); ++i) {
       const hard::AdaptiveEstimate& estimate = pooled[i];
-      const std::size_t q = misses[i];
-      answers[q].estimate = estimate.estimate;
-      answers[q].std_error = estimate.std_error;
-      answers[q].n_samples = estimate.n_samples;
-      answers[q].target_met = estimate.target_met;
-      answers[q].deadline_limited = estimate.deadline_limited;
+      HardEstimate& answer = answers[misses[i]];
+      answer.estimate = estimate.estimate;
+      answer.std_error = estimate.std_error;
+      answer.n_samples = estimate.n_samples;
+      answer.target_met = estimate.target_met;
+      answer.deadline_limited = estimate.deadline_limited;
       instruments_->hard_samples.Inc(estimate.n_samples);
       if (estimate.target_met) instruments_->hard_target_met.Inc();
       if (estimate.deadline_limited) {
@@ -1256,148 +1215,84 @@ StatusOr<std::vector<HardEstimate>> Server::HardPatternProbBatch(
       cached.std_error = estimate.std_error;
       cached.n_samples = estimate.n_samples;
       cached.target_met = estimate.target_met;
-      hard_cache_.Put(keys[q],
+      hard_cache_.Put(keys[misses[i]],
                       std::make_shared<const CachedHard>(std::move(cached)));
     }
-    if (trace != nullptr) {
-      trace->end_ns = MonotonicNowNs();
-      trace->status_code = static_cast<std::uint8_t>(StatusCode::kOk);
-      tracer_.Publish(*trace);
-    }
     return answers;
-  } catch (const CancelledError& e) {
-    instruments_->cancelled.Inc();
-    return Status::Cancelled(e.what());
-  } catch (const DeadlineExceededError& e) {
-    instruments_->deadline_exceeded.Inc();
-    return Status::DeadlineExceeded(e.what());
-  } catch (const std::exception& e) {
-    instruments_->internal_errors.Inc();
-    return Status::Internal(e.what());
-  } catch (...) {
-    instruments_->internal_errors.Inc();
-    return Status::Internal("unknown exception during hard sampling");
-  }
+  });
 }
 
 StatusOr<ConsensusAnswer> Server::ConsensusTopK(
     const infer::LabeledRimModel& model, unsigned top_k,
     const RequestControl& control) {
-  instruments_->requests.Inc();
   instruments_->consensus_requests.Inc();
-
   const unsigned m = model.model().size();
-  if (m == 0) {
-    instruments_->invalid.Inc();
-    return Status::InvalidArgument("consensus over an empty model");
-  }
-  if (top_k == 0) {
-    instruments_->invalid.Inc();
-    return Status::InvalidArgument("top_k must be positive");
-  }
-  // Size guard: the exact footrule aggregation is O(m³) (Hungarian) with an
-  // O(m²) count matrix — a model over the limit is refused before any work.
-  if (options_.max_consensus_items != 0 && m > options_.max_consensus_items) {
-    return Status::ResourceExhausted(
-        "model has " + std::to_string(m) +
-        " items, over the consensus limit of " +
-        std::to_string(options_.max_consensus_items));
-  }
-
-  if (TryAdmit(1) == 0) {
-    instruments_->shed.Inc();
-    return Status::ResourceExhausted(
-        "shed by admission control (server full); retry after " +
-        std::to_string(RetryAfterHintNs()) + "ns");
-  }
-  const AdmissionRelease release(*this, 1);
-
-  // The cache key covers the full consensus computation (model + sampling
-  // budget), never top_k: the cached entry holds the full-length consensus
-  // and each response truncates its own k.
-  StreamHash key_hash;
-  key_hash.Mix(FingerprintModel(model.model()));
-  key_hash.Mix(kKeyConsensus);
-  key_hash.Mix(options_.consensus_samples);
-  key_hash.Mix(options_.hard_block_samples);
-  const std::uint64_t key = key_hash.digest();
-
-  const auto truncate = [&](const CachedHard& cached) {
+  const auto check = [&]() -> Status {
+    if (m == 0) return Status::InvalidArgument("consensus over an empty model");
+    if (top_k == 0) return Status::InvalidArgument("top_k must be positive");
+    // Size guard: the exact footrule aggregation is O(m³) (Hungarian) with
+    // an O(m²) count matrix — a model over the limit is refused before any
+    // work.
+    if (options_.max_consensus_items != 0 && m > options_.max_consensus_items) {
+      return Status::ResourceExhausted(
+          "model has " + std::to_string(m) +
+          " items, over the consensus limit of " +
+          std::to_string(options_.max_consensus_items));
+    }
+    return Status::Ok();
+  };
+  return Guarded<ConsensusAnswer>(control, check, [&](Call& call) {
+    // The cache key covers the full consensus computation (model + sampling
+    // budget), never top_k: the cached entry holds the full-length consensus
+    // and each response truncates its own k.
+    StreamHash key_hash;
+    key_hash.Mix(FingerprintModel(model.model()));
+    key_hash.Mix(kKeyConsensus);
+    key_hash.Mix(options_.consensus_samples);
+    key_hash.Mix(options_.hard_block_samples);
+    const std::uint64_t key = key_hash.digest();
+    const auto sample = [&]() -> std::shared_ptr<const CachedHard> {
+      obs::TraceRecord* trace = call.Trace(key);
+      hard::ConsensusOptions consensus;
+      consensus.samples = std::max(1u, options_.consensus_samples);
+      consensus.block_samples = std::max(1u, options_.hard_block_samples);
+      consensus.threads = effective_threads_;
+      consensus.seed = HashCombine(key, kKeyMcSeed);
+      consensus.control = call.control;
+      hard::ConsensusResult result;
+      {
+        const obs::TraceSpan span(trace, obs::Stage::kHardSample);
+        const bool timed = options_.latency_histograms;
+        const std::uint64_t start = timed ? MonotonicNowNs() : 0;
+        result = hard::ConsensusRanking(model.model(), consensus);
+        if (timed) instruments_->consensus_ns.Record(MonotonicNowNs() - start);
+      }
+      instruments_->hard_samples.Inc(result.n_samples);
+      auto cached = std::make_shared<CachedHard>();
+      cached->ranking = std::move(result.ranking);
+      cached->mean_footrule = result.mean_footrule;
+      cached->footrule_std_error = result.footrule_std_error;
+      cached->mean_kendall = result.mean_kendall;
+      cached->kendall_std_error = result.kendall_std_error;
+      cached->n_samples = result.n_samples;
+      return cached;
+    };
+    // Single-flight, like PlanFor: identical concurrent requests sample
+    // once, and the rest wait for that ranking under their own controls.
+    const std::shared_ptr<const CachedHard> cached = hard_cache_.GetOrCompute(
+        key, sample, &call.run.deadline, call.run.cancel);
     ConsensusAnswer answer;
     answer.ranking.assign(
-        cached.ranking.begin(),
-        cached.ranking.begin() +
-            std::min<std::size_t>(top_k, cached.ranking.size()));
-    answer.mean_footrule = cached.mean_footrule;
-    answer.footrule_std_error = cached.footrule_std_error;
-    answer.mean_kendall = cached.mean_kendall;
-    answer.kendall_std_error = cached.kendall_std_error;
-    answer.n_samples = cached.n_samples;
+        cached->ranking.begin(),
+        cached->ranking.begin() +
+            std::min<std::size_t>(top_k, cached->ranking.size()));
+    answer.mean_footrule = cached->mean_footrule;
+    answer.footrule_std_error = cached->footrule_std_error;
+    answer.mean_kendall = cached->mean_kendall;
+    answer.kendall_std_error = cached->kendall_std_error;
+    answer.n_samples = cached->n_samples;
     return answer;
-  };
-  if (const auto hit = hard_cache_.Get(key)) return truncate(*hit);
-
-  obs::TraceRecord trace_storage;
-  obs::TraceRecord* trace = nullptr;
-  if (tracer_.sample_permyriad() > 0 && tracer_.ShouldSample(key)) {
-    trace = &trace_storage;
-    trace->fingerprint = key;
-    trace->start_ns = MonotonicNowNs();
-  }
-
-  const std::uint64_t deadline_ns = control.deadline_ns != 0
-                                        ? control.deadline_ns
-                                        : options_.default_deadline_ns;
-  RunControl run;
-  if (deadline_ns != 0) run.deadline = Deadline::After(deadline_ns);
-  run.cancel = control.cancel;
-  const bool has_control = deadline_ns != 0 || control.cancel != nullptr;
-
-  hard::ConsensusOptions consensus;
-  consensus.samples = std::max(1u, options_.consensus_samples);
-  consensus.block_samples = std::max(1u, options_.hard_block_samples);
-  consensus.threads = effective_threads_;
-  consensus.seed = HashCombine(key, kKeyMcSeed);
-  consensus.control = has_control ? &run : nullptr;
-
-  try {
-    hard::ConsensusResult result;
-    {
-      const obs::TraceSpan span(trace, obs::Stage::kHardSample);
-      const bool timed = options_.latency_histograms;
-      const std::uint64_t start = timed ? MonotonicNowNs() : 0;
-      result = hard::ConsensusRanking(model.model(), consensus);
-      if (timed) instruments_->consensus_ns.Record(MonotonicNowNs() - start);
-    }
-    instruments_->hard_samples.Inc(result.n_samples);
-    CachedHard cached;
-    cached.ranking = std::move(result.ranking);
-    cached.mean_footrule = result.mean_footrule;
-    cached.footrule_std_error = result.footrule_std_error;
-    cached.mean_kendall = result.mean_kendall;
-    cached.kendall_std_error = result.kendall_std_error;
-    cached.n_samples = result.n_samples;
-    const std::shared_ptr<const CachedHard> value = hard_cache_.Put(
-        key, std::make_shared<const CachedHard>(std::move(cached)));
-    if (trace != nullptr) {
-      trace->end_ns = MonotonicNowNs();
-      trace->status_code = static_cast<std::uint8_t>(StatusCode::kOk);
-      tracer_.Publish(*trace);
-    }
-    return truncate(*value);
-  } catch (const CancelledError& e) {
-    instruments_->cancelled.Inc();
-    return Status::Cancelled(e.what());
-  } catch (const DeadlineExceededError& e) {
-    instruments_->deadline_exceeded.Inc();
-    return Status::DeadlineExceeded(e.what());
-  } catch (const std::exception& e) {
-    instruments_->internal_errors.Inc();
-    return Status::Internal(e.what());
-  } catch (...) {
-    instruments_->internal_errors.Inc();
-    return Status::Internal("unknown exception during consensus");
-  }
+  });
 }
 
 /// One unique computation within a batch: distinct (result key, deadline,
@@ -1459,7 +1354,8 @@ std::vector<Response> Server::EvaluateBatch(const std::vector<Request>& requests
   std::size_t valid = 0;
   for (std::size_t i = 0; i < admitted; ++i) {
     const Request& request = requests[i];
-    if (Status status = Validate(request); !status.ok()) {
+    if (Status status = Validate(request.model, request.pattern, request.kind);
+        !status.ok()) {
       instruments_->invalid.Inc();
       responses[i].status = std::move(status);
       continue;
@@ -1467,12 +1363,8 @@ std::vector<Response> Server::EvaluateBatch(const std::vector<Request>& requests
     ++valid;
     const std::uint64_t plan_key =
         PlanKey(*request.model, *request.pattern, kNoTracked);
-    const std::uint64_t result_key = HashCombine(
-        plan_key, request.kind == Request::Kind::kPatternProb ? kKeyPatternProb
-                                                              : kKeyTopMatching);
-    const std::uint64_t deadline_ns = request.control.deadline_ns != 0
-                                          ? request.control.deadline_ns
-                                          : options_.default_deadline_ns;
+    const std::uint64_t result_key = ResultKey(plan_key, request.kind);
+    const std::uint64_t deadline_ns = DeadlineOf(request.control);
     // Dedup key folds the stop conditions in; identical requests with
     // identical controls share one computation.
     const std::uint64_t unit_key = HashCombine(
@@ -1652,6 +1544,7 @@ ServerStats Server::Snapshot() const {
   stats.in_flight_peak = in_flight_peak_.load(std::memory_order_relaxed);
   stats.shed = instruments_->shed.Value();
   stats.invalid = instruments_->invalid.Value();
+  stats.size_refused = instruments_->size_refused.Value();
   stats.deadline_exceeded = instruments_->deadline_exceeded.Value();
   stats.cancelled = instruments_->cancelled.Value();
   stats.degraded = instruments_->degraded.Value();
@@ -1665,28 +1558,22 @@ void Server::SyncScrapeGauges() const {
       static_cast<std::int64_t>(in_flight_.load(std::memory_order_relaxed)));
   in.in_flight_peak.Set(static_cast<std::int64_t>(
       in_flight_peak_.load(std::memory_order_relaxed)));
-  const CacheStats plan = plan_cache_.stats();
-  in.plan_cache_hits.Set(static_cast<std::int64_t>(plan.hits));
-  in.plan_cache_misses.Set(static_cast<std::int64_t>(plan.misses));
-  in.plan_cache_insertions.Set(static_cast<std::int64_t>(plan.insertions));
-  in.plan_cache_evictions.Set(static_cast<std::int64_t>(plan.evictions));
-  const CacheStats result = result_cache_.stats();
-  in.result_cache_hits.Set(static_cast<std::int64_t>(result.hits));
-  in.result_cache_misses.Set(static_cast<std::int64_t>(result.misses));
-  in.result_cache_insertions.Set(static_cast<std::int64_t>(result.insertions));
-  in.result_cache_evictions.Set(static_cast<std::int64_t>(result.evictions));
-  const CacheStats circuit = circuit_cache_.stats();
-  in.circuit_cache_hits.Set(static_cast<std::int64_t>(circuit.hits));
-  in.circuit_cache_misses.Set(static_cast<std::int64_t>(circuit.misses));
-  in.circuit_cache_insertions.Set(
-      static_cast<std::int64_t>(circuit.insertions));
-  in.circuit_cache_evictions.Set(
-      static_cast<std::int64_t>(circuit.evictions));
-  const CacheStats hard = hard_cache_.stats();
-  in.hard_cache_hits.Set(static_cast<std::int64_t>(hard.hits));
-  in.hard_cache_misses.Set(static_cast<std::int64_t>(hard.misses));
-  in.hard_cache_insertions.Set(static_cast<std::int64_t>(hard.insertions));
-  in.hard_cache_evictions.Set(static_cast<std::int64_t>(hard.evictions));
+  const auto sync = [](const CacheStats& stats, obs::Gauge& hits,
+                       obs::Gauge& misses, obs::Gauge& insertions,
+                       obs::Gauge& evictions) {
+    hits.Set(static_cast<std::int64_t>(stats.hits));
+    misses.Set(static_cast<std::int64_t>(stats.misses));
+    insertions.Set(static_cast<std::int64_t>(stats.insertions));
+    evictions.Set(static_cast<std::int64_t>(stats.evictions));
+  };
+  sync(plan_cache_.stats(), in.plan_cache_hits, in.plan_cache_misses,
+       in.plan_cache_insertions, in.plan_cache_evictions);
+  sync(result_cache_.stats(), in.result_cache_hits, in.result_cache_misses,
+       in.result_cache_insertions, in.result_cache_evictions);
+  sync(circuit_cache_.stats(), in.circuit_cache_hits, in.circuit_cache_misses,
+       in.circuit_cache_insertions, in.circuit_cache_evictions);
+  sync(hard_cache_.stats(), in.hard_cache_hits, in.hard_cache_misses,
+       in.hard_cache_insertions, in.hard_cache_evictions);
   in.traces_published.Set(
       static_cast<std::int64_t>(tracer_.total_published()));
   if (options_.store != nullptr) {

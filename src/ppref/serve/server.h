@@ -106,6 +106,7 @@
 
 namespace ppref::store {
 class Store;
+enum class RecordKind : std::uint8_t;
 }
 
 namespace ppref::serve {
@@ -128,10 +129,6 @@ struct ServerOptions {
   /// Worker threads for the batch fan-out. 0 = auto; clamped to hardware
   /// concurrency (ppref::ClampThreads).
   unsigned threads = 0;
-  /// Matching-level parallelism *within* one request (PatternProbOptions::
-  /// threads). Batch fan-out already saturates the cores, so nesting
-  /// defaults off; raise it for servers handling few, large requests.
-  unsigned matching_threads = 1;
 
   /// Default per-request deadline in nanoseconds, applied when a request
   /// does not set its own. 0 = no deadline.
@@ -437,14 +434,41 @@ class Server {
   struct Outcome;
   struct Unit;
   struct Instruments;
+  struct Call;
 
   /// Request validation for the status entry points; Ok or kInvalidArgument.
-  Status Validate(const Request& request) const;
+  Status Validate(const infer::LabeledRimModel* model,
+                  const infer::LabelPattern* pattern,
+                  Request::Kind kind = Request::Kind::kPatternProb) const;
+
+  /// The max_pattern_nodes size guard; Ok or kResourceExhausted.
+  Status PatternSizeGuard(const infer::LabelPattern& pattern) const;
+
+  /// The request's deadline budget, falling back to default_deadline_ns
+  /// (0 = none).
+  std::uint64_t DeadlineOf(const RequestControl& control) const;
+
+  /// The shared request path of the single-call status entry points (sweep,
+  /// hard, consensus): counts the request; runs `check` (validation and
+  /// size guard), counting a refusal as invalid or size_refused; takes one
+  /// in-flight slot or sheds; resolves the deadline; runs `step(Call&)`
+  /// under Protect; and publishes the call's trace once every span inside
+  /// `step` has closed. Never throws.
+  template <typename T, typename Check, typename Step>
+  StatusOr<T> Guarded(const RequestControl& control, const Check& check,
+                      const Step& step);
+
+  /// Runs `body` and maps what it throws onto a terminal status, counting
+  /// cancellations, deadline stops, and internal errors: the one exception
+  /// ladder behind Guarded and ComputeGuarded.
+  template <typename Body>
+  Status Protect(const Body& body);
 
   /// Claims up to `want` in-flight slots against max_in_flight (all of them
-  /// when unbounded); returns how many were granted and maintains the peak
-  /// watermark. Pair with AdmissionRelease.
-  std::size_t TryAdmit(std::size_t want);
+  /// when unbounded, or when `bounded` is false: the trusted-caller entry
+  /// points are counted but never shed); returns how many were granted and
+  /// maintains the peak watermark. Pair with AdmissionRelease.
+  std::size_t TryAdmit(std::size_t want, bool bounded = true);
 
   /// RAII release of TryAdmit'ed slots.
   class AdmissionRelease;
@@ -452,18 +476,25 @@ class Server {
   /// Heuristic retry-after hint: observed mean per-request busy time.
   std::uint64_t RetryAfterHintNs() const;
 
+  /// The trusted-caller path behind PatternProbability and
+  /// MostProbableTopMatching: the memoized exact answer, computed on a miss.
+  std::shared_ptr<const CachedResult> Memoized(
+      const infer::LabeledRimModel& model, const infer::LabelPattern& pattern,
+      Request::Kind kind);
+
   /// Result-cache probe (respects forced-miss fault injection). On an LRU
   /// miss with a store configured, consults the store and promotes a decoded
   /// record into the cache.
   std::shared_ptr<const CachedResult> LookupResult(std::uint64_t result_key);
 
-  // Store integration (no-ops when options_.store is null). The Load*
-  // helpers return nullptr on miss or failed decode — the caller computes
-  // as if the store did not exist.
-  std::shared_ptr<const CachedPlan> LoadPlanFromStore(
-      std::uint64_t plan_key, obs::TraceRecord* trace);
-  std::shared_ptr<const CachedCircuit> LoadCircuitFromStore(
-      std::uint64_t circuit_key, obs::TraceRecord* trace);
+  /// Store integration (null when options_.store is): fetches (kind, key)
+  /// on a cache miss and decodes it with `decode` (Store::Fetch& → entry,
+  /// null on failure) in a store_load span, counting a store hit, miss, or
+  /// corrupt record. Null on a miss or a failed decode — the caller
+  /// computes as if the store did not exist.
+  template <typename Decode>
+  auto LoadFromStore(store::RecordKind kind, std::uint64_t key,
+                     obs::TraceRecord* trace, const Decode& decode);
   /// Write-behind of one exact answer.
   void StoreResult(std::uint64_t result_key, const CachedResult& result);
 
@@ -530,9 +561,6 @@ class Server {
   /// Refreshes the scrape-time gauges (in-flight depth, cache counters,
   /// trace totals) from their sources.
   void SyncScrapeGauges() const;
-
-  /// RAII in-flight depth tracking (legacy unconditional admission).
-  class InFlight;
 
   ServerOptions options_;
   /// options_.threads resolved through ppref::ClampThreads once, at

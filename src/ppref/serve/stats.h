@@ -106,6 +106,9 @@ struct ServerStats {
   std::uint64_t shed = 0;
   /// Requests rejected by validation (kInvalidArgument).
   std::uint64_t invalid = 0;
+  /// Requests refused by a size guard (max_pattern_nodes without
+  /// degradation, max_consensus_items) with kResourceExhausted.
+  std::uint64_t size_refused = 0;
   /// Requests stopped by their deadline mid-computation.
   std::uint64_t deadline_exceeded = 0;
   /// Requests stopped by caller cancellation.

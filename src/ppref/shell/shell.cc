@@ -407,10 +407,7 @@ void Shell::CommandSweep(const std::string& args) {
     return;
   }
 
-  if (server_ == nullptr) {
-    server_ = std::make_unique<serve::Server>(serve::ServerOptions{});
-  }
-  const serve::ServerStats before = server_->Snapshot();
+  const serve::ServerStats before = server_.Snapshot();
 
   // Per session s and grid point k: p_{s,k} from the session's cached
   // circuit re-bound to phi_k; the Boolean confidence at phi_k is
@@ -422,7 +419,7 @@ void Shell::CommandSweep(const std::string& args) {
     const infer::LabeledRimModel labeled(reduction.model->model(),
                                          reduction.labeling);
     const StatusOr<std::vector<double>> probs =
-        server_->PatternProbSweep(labeled, reduction.pattern, params);
+        server_.PatternProbSweep(labeled, reduction.pattern, params);
     if (!probs.ok()) {
       out_ << "error: " << probs.status().ToString() << "\n";
       return;
@@ -435,7 +432,7 @@ void Shell::CommandSweep(const std::string& args) {
     out_ << "  phi = " << params[k][0] << "  conf = " << 1.0 - none_matches[k]
          << "\n";
   }
-  const serve::ServerStats after = server_->Snapshot();
+  const serve::ServerStats after = server_.Snapshot();
   out_ << "(" << reductions.size() << " sessions, " << params.size()
        << " points; circuits: "
        << after.circuit_compiles - before.circuit_compiles << " compiled, "
@@ -467,9 +464,6 @@ void Shell::CommandHard(const std::string& args) {
     return;
   }
 
-  if (server_ == nullptr) {
-    server_ = std::make_unique<serve::Server>(serve::ServerOptions{});
-  }
 
   const auto reductions = ppd::ReduceItemwise(*ppd_, q);
   double none_match = 1.0;
@@ -481,7 +475,7 @@ void Shell::CommandHard(const std::string& args) {
     const infer::LabeledRimModel labeled(reduction.model->model(),
                                          reduction.labeling);
     const StatusOr<serve::HardEstimate> estimate =
-        server_->HardPatternProb(labeled, reduction.pattern, target);
+        server_.HardPatternProb(labeled, reduction.pattern, target);
     if (!estimate.ok()) {
       out_ << "error: " << estimate.status().ToString() << "\n";
       return;
@@ -514,14 +508,11 @@ void Shell::CommandConsensus(const std::string& args) {
     out_ << "error: usage: \\consensus <p-symbol> <k>\n";
     return;
   }
-  if (server_ == nullptr) {
-    server_ = std::make_unique<serve::Server>(serve::ServerOptions{});
-  }
   for (const auto& [session, model] : ppd_->PInstance(symbol).sessions()) {
     const infer::LabeledRimModel labeled(model.model(),
                                          infer::ItemLabeling(model.size()));
     const StatusOr<serve::ConsensusAnswer> answer =
-        server_->ConsensusTopK(labeled, top_k);
+        server_.ConsensusTopK(labeled, top_k);
     if (!answer.ok()) {
       out_ << "error: " << answer.status().ToString() << "\n";
       return;

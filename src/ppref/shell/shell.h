@@ -79,10 +79,10 @@ class Shell {
 
   std::ostream& out_;
   std::unique_ptr<ppd::RimPpd> ppd_;
-  /// Lazily built serving core backing \sweep: its circuit cache persists
-  /// across commands, so repeated sweeps over the same query shape recompile
-  /// nothing.
-  std::unique_ptr<serve::Server> server_;
+  /// The serving core behind \sweep, \hard and \consensus: its caches
+  /// persist across commands, so repeated sweeps over the same query shape
+  /// recompile nothing.
+  serve::Server server_;
   Rng rng_{20170514};  // PODS'17 conference date; fixed for reproducibility
   // Multi-line \load-inline accumulation state.
   bool loading_ = false;

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
 #include <vector>
 
 #include "ppref/common/random.h"
@@ -130,6 +132,34 @@ TEST(HardServeTest, ConsensusTruncatesOneCachedFullRanking) {
   // phi = 0.3 concentrates on the identity reference: the consensus leads
   // with item 0.
   EXPECT_EQ(all->ranking[0], 0u);
+}
+
+TEST(HardServeTest, ConcurrentConsensusRequestsSampleOnce) {
+  // Four identical requests released together: one samples, the other three
+  // wait for its ranking (single flight) instead of sampling again.
+  const infer::LabeledRimModel model = MakeModel(12, 0.5);
+  Server server;
+  std::atomic<bool> go{false};
+  std::vector<StatusOr<ConsensusAnswer>> answers(
+      4, Status::Internal("not run"));
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < answers.size(); ++t) {
+    threads.emplace_back([&, t] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      answers[t] = server.ConsensusTopK(model, 3);
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (std::thread& thread : threads) thread.join();
+
+  for (const StatusOr<ConsensusAnswer>& answer : answers) {
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+    EXPECT_EQ(answer->ranking, answers.front()->ranking);
+  }
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.consensus_requests, 4u);
+  EXPECT_EQ(stats.hard_cache.misses, 1u);
+  EXPECT_EQ(stats.hard_samples, answers.front()->n_samples);
 }
 
 TEST(HardServeTest, NearDeadDeadlineBuysCoarserDeterministicAnswer) {

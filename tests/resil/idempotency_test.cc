@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <string>
+#include <utility>
 
 #include "gtest/gtest.h"
 #include "ppref/net/codec.h"
@@ -339,33 +340,72 @@ std::string ReadUntilEof(int fd, int step_timeout_ms = 5000) {
 }
 
 TEST(ResilIdempotencyDaemonTest, HttpHeaderKeyReplaysIdenticalResponse) {
+  // Every route takes the header: an evaluate query and a consensus query,
+  // each against a fresh daemon.
+  const std::string model =
+      " \"model\": {\"m\": 4, \"insertion\": {\"phi\": 0.5},"
+      "  \"labels\": [[0], [1], [0], [1]]},";
+  const std::pair<std::string, std::string> inputs[] = {
+      {"/query",
+       "{\"id\": 5, \"kind\": \"pattern_prob\"," + model +
+           " \"pattern\": {\"nodes\": [0, 1], \"edges\": [[0, 1]]}}"},
+      {"/consensus", "{\"id\": 6," + model + " \"top_k\": 2}"},
+  };
+  for (const auto& [route, body] : inputs) {
+    SCOPED_TRACE(route);
+    Daemon daemon(AdoptOnlyOptions());
+    ASSERT_TRUE(daemon.Start().ok());
+    const std::string request =
+        "POST " + route + " HTTP/1.1\r\nHost: t\r\n"
+        "x-ppref-idempotency-key: 12345\r\nContent-Length: " +
+        std::to_string(body.size()) + "\r\n\r\n" + body;
+
+    int fd = AdoptPair(daemon);
+    ASSERT_GT(send(fd, request.data(), request.size(), MSG_NOSIGNAL), 0);
+    const std::string first = ReadUntilEof(fd);
+    close(fd);
+    fd = AdoptPair(daemon);
+    ASSERT_GT(send(fd, request.data(), request.size(), MSG_NOSIGNAL), 0);
+    const std::string second = ReadUntilEof(fd);
+    close(fd);
+
+    ASSERT_NE(first.find("HTTP/1.1 200 OK"), std::string::npos) << first;
+    EXPECT_EQ(first, second);
+    const IdempotencyTable::Stats stats = daemon.idempotency_stats();
+    EXPECT_EQ(stats.owner, 1u);
+    EXPECT_EQ(stats.replayed, 1u);
+    daemon.Stop();
+  }
+}
+
+TEST(ResilIdempotencyDaemonTest, KeyReusedAcrossRoutesNeverReplaysAnotherKind) {
+  // The kind is folded into the table key: the same header key on /query
+  // and then /consensus executes both, each answering in its own shape.
   Daemon daemon(AdoptOnlyOptions());
   ASSERT_TRUE(daemon.Start().ok());
-
-  const std::string body =
-      "{\"id\": 5, \"kind\": \"pattern_prob\","
+  const std::string model =
       " \"model\": {\"m\": 4, \"insertion\": {\"phi\": 0.5},"
-      "  \"labels\": [[0], [1], [0], [1]]},"
-      " \"pattern\": {\"nodes\": [0, 1], \"edges\": [[0, 1]]}}";
-  const std::string request =
-      "POST /query HTTP/1.1\r\nHost: t\r\n"
-      "x-ppref-idempotency-key: 12345\r\nContent-Length: " +
-      std::to_string(body.size()) + "\r\n\r\n" + body;
-
-  int fd = AdoptPair(daemon);
-  ASSERT_GT(send(fd, request.data(), request.size(), MSG_NOSIGNAL), 0);
-  const std::string first = ReadUntilEof(fd);
-  close(fd);
-  fd = AdoptPair(daemon);
-  ASSERT_GT(send(fd, request.data(), request.size(), MSG_NOSIGNAL), 0);
-  const std::string second = ReadUntilEof(fd);
-  close(fd);
-
-  ASSERT_NE(first.find("HTTP/1.1 200 OK"), std::string::npos) << first;
-  EXPECT_EQ(first, second);
-  const IdempotencyTable::Stats stats = daemon.idempotency_stats();
-  EXPECT_EQ(stats.owner, 1u);
-  EXPECT_EQ(stats.replayed, 1u);
+      "  \"labels\": [[0], [1], [0], [1]]},";
+  const std::string query =
+      "{\"id\": 5," + model + " \"pattern\": {\"nodes\": [0]}}";
+  const std::string consensus = "{\"id\": 5," + model + " \"top_k\": 2}";
+  std::string answers[2];
+  int i = 0;
+  for (const auto& [route, body] :
+       {std::pair{"/query", query}, std::pair{"/consensus", consensus}}) {
+    const std::string request =
+        std::string("POST ") + route + " HTTP/1.1\r\nHost: t\r\n"
+        "x-ppref-idempotency-key: 777\r\nContent-Length: " +
+        std::to_string(body.size()) + "\r\n\r\n" + body;
+    const int fd = AdoptPair(daemon);
+    ASSERT_GT(send(fd, request.data(), request.size(), MSG_NOSIGNAL), 0);
+    answers[i++] = ReadUntilEof(fd);
+    close(fd);
+  }
+  EXPECT_NE(answers[0].find("\"probability\":"), std::string::npos);
+  EXPECT_NE(answers[1].find("\"ranking\":"), std::string::npos);
+  EXPECT_EQ(daemon.idempotency_stats().owner, 2u);
+  EXPECT_EQ(daemon.idempotency_stats().replayed, 0u);
   daemon.Stop();
 }
 

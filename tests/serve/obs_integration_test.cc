@@ -182,6 +182,27 @@ TEST(ServeObsTest, TraceRingIsBoundedAndCountsPublishes) {
   EXPECT_NE(text.find("ppref_serve_traces_published 5"), std::string::npos);
 }
 
+TEST(ServeObsTest, SweepTraceKeepsItsCircuitEvalTime) {
+  // A sweep's record is published only after its circuit-eval span closed,
+  // so the stage doing the work shows up and the stages fit the envelope.
+  const infer::LabeledRimModel model = MakeModel(6, 0.5);
+  const infer::LabelPattern pattern = Chain({0, 1, 2});
+  ServerOptions options;
+  options.trace_sample_permyriad = 10000;
+  Server server(options);
+  std::vector<std::vector<double>> params;
+  for (int i = 1; i <= 64; ++i) params.push_back({i / 64.0});
+  ASSERT_TRUE(server.PatternProbSweep(model, pattern, params).ok());
+
+  const std::vector<obs::TraceRecord> traces = server.DumpTraces();
+  ASSERT_EQ(traces.size(), 1u);
+  const obs::TraceRecord& trace = traces.front();
+  EXPECT_EQ(trace.status_code, 0u);  // kOk
+  EXPECT_GT(trace.stage_ns[static_cast<unsigned>(obs::Stage::kCircuitEval)],
+            0u);
+  EXPECT_LE(trace.StageTotalNs(), trace.TotalNs());
+}
+
 TEST(ServeObsTest, HistogramsOffStillCountsRequests) {
   const infer::LabeledRimModel model = MakeModel(6, 0.5);
   const std::vector<infer::LabelPattern> patterns = {Chain({0, 1})};

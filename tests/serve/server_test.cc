@@ -278,5 +278,31 @@ TEST(ServeServerTest, ConcurrentMixedWorkloadStress) {
             stats.result_cache.misses);
 }
 
+TEST(ServeServerTest, SizeGuardRefusalsAreCounted) {
+  // One refusal per guarded kind: evaluate and sweep by max_pattern_nodes
+  // (no degradation), consensus by max_consensus_items.
+  const infer::LabeledRimModel model = MakeModel(4, 0.5);
+  const infer::LabelPattern pattern = Chain({0, 1});
+  ServerOptions options;
+  options.max_pattern_nodes = 1;
+  options.max_consensus_items = 3;
+  Server server(options);
+  Request request;
+  request.model = &model;
+  request.pattern = &pattern;
+  EXPECT_EQ(server.Evaluate(request).status.code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(server.PatternProbSweep(model, pattern, {{0.5}}).status().code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(server.ConsensusTopK(model, 2).status().code(),
+            StatusCode::kResourceExhausted);
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.size_refused, 3u);
+  EXPECT_EQ(stats.invalid, 0u);
+  EXPECT_EQ(stats.shed, 0u);
+  EXPECT_NE(server.ScrapeMetrics().find("ppref_serve_size_refused_total 3"),
+            std::string::npos);
+}
+
 }  // namespace
 }  // namespace ppref::serve

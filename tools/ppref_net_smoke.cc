@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -68,9 +69,11 @@ int Fail(const char* step, const std::string& detail) {
 }
 
 /// Renders the pool's pair 0 as a /query JSON document, rows spelled out as
-/// %.17g so the daemon rebuilds the exact bits.
+/// %.17g so the daemon rebuilds the exact bits. `extra` is spliced in as
+/// further top-level keys (a route's own fields).
 std::string QueryJson(const infer::LabeledRimModel& model,
-                      const infer::LabelPattern& pattern) {
+                      const infer::LabelPattern& pattern,
+                      const std::string& extra = "") {
   char scratch[64];
   std::string json = "{\"id\": 42, \"kind\": \"pattern_prob\", \"model\": {";
   const rim::RimModel& rim = model.model();
@@ -116,8 +119,42 @@ std::string QueryJson(const infer::LabeledRimModel& model,
       json += "[" + std::to_string(node) + ", " + std::to_string(child) + "]";
     }
   }
-  json += "]}}";
+  json += "]}" + extra + "}";
   return json;
+}
+
+/// POSTs `json` to `route` and returns the body of a 200 answer; anything
+/// else is reported under `step` and comes back empty.
+std::optional<std::string> Post(const Options& options, const char* step,
+                                const char* route, const std::string& json) {
+  StatusOr<net::HttpResult> result =
+      net::HttpFetch(options.host, options.port, "POST", route, json);
+  if (!result.ok()) {
+    Fail(step, result.status().ToString());
+    return std::nullopt;
+  }
+  if (result->status_code != 200) {
+    Fail(step, "status " + std::to_string(result->status_code) + ": " +
+                   result->body);
+    return std::nullopt;
+  }
+  return std::move(result).value().body;
+}
+
+/// Post, twice: the replay must be byte-equal (the answer is seeded and
+/// the second call is served from the hard cache).
+std::optional<std::string> PostReplayed(const Options& options,
+                                        const char* step, const char* route,
+                                        const std::string& json) {
+  std::optional<std::string> first = Post(options, step, route, json);
+  if (!first) return std::nullopt;
+  const std::optional<std::string> replay = Post(options, step, route, json);
+  if (!replay) return std::nullopt;
+  if (*replay != *first) {
+    Fail(step, "replay not byte-equal");
+    return std::nullopt;
+  }
+  return first;
 }
 
 }  // namespace
@@ -161,22 +198,16 @@ int main(int argc, char** argv) {
   }
 
   // 4. The same query over HTTP/JSON; %.17g round-trips the exact bits.
-  StatusOr<net::HttpResult> http = net::HttpFetch(
-      options.host, options.port, "POST", "/query",
-      QueryJson(workload.models[0], workload.patterns[0]));
-  if (!http.ok()) return Fail("http query", http.status().ToString());
-  if (http->status_code != 200) {
-    return Fail("http query",
-                "status " + std::to_string(http->status_code) + ": " +
-                    http->body);
-  }
-  const std::size_t at = http->body.find("\"probability\":");
+  const std::optional<std::string> http =
+      Post(options, "http query", "/query",
+           QueryJson(workload.models[0], workload.patterns[0]));
+  if (!http) return 1;
+  const std::size_t at = http->find("\"probability\":");
   if (at == std::string::npos) {
-    return Fail("http query", "no probability in " + http->body);
+    return Fail("http query", "no probability in " + *http);
   }
-  const double http_probability =
-      std::strtod(http->body.c_str() + at + std::strlen("\"probability\":"),
-                  nullptr);
+  const double http_probability = std::strtod(
+      http->c_str() + at + std::strlen("\"probability\":"), nullptr);
   if (http_probability != expected) {
     return Fail("http query", "JSON answer not bit-identical");
   }
@@ -185,30 +216,23 @@ int main(int argc, char** argv) {
   // several dispersions from one cached circuit, each point checked against
   // a fresh DP with the model re-bound to that φ.
   const std::vector<double> grid = {0.25, 0.5, 0.75, 1.0};
-  std::string sweep_json =
-      QueryJson(workload.models[0], workload.patterns[0]);
-  sweep_json.pop_back();  // trailing '}' — reopen to append the grid
-  sweep_json += ", \"params\": [";
+  std::string params = ", \"params\": [";
   for (std::size_t k = 0; k < grid.size(); ++k) {
-    if (k != 0) sweep_json += ", ";
+    if (k != 0) params += ", ";
     char scratch[32];
     std::snprintf(scratch, sizeof(scratch), "%.17g", grid[k]);
-    sweep_json += scratch;
+    params += scratch;
   }
-  sweep_json += "]}";
-  StatusOr<net::HttpResult> sweep = net::HttpFetch(
-      options.host, options.port, "POST", "/sweep", sweep_json);
-  if (!sweep.ok()) return Fail("http sweep", sweep.status().ToString());
-  if (sweep->status_code != 200) {
-    return Fail("http sweep", "status " + std::to_string(sweep->status_code) +
-                                  ": " + sweep->body);
-  }
-  const std::size_t probs_at = sweep->body.find("\"probabilities\":[");
+  const std::optional<std::string> sweep =
+      Post(options, "http sweep", "/sweep",
+           QueryJson(workload.models[0], workload.patterns[0], params + "]"));
+  if (!sweep) return 1;
+  const std::size_t probs_at = sweep->find("\"probabilities\":[");
   if (probs_at == std::string::npos) {
-    return Fail("http sweep", "no probabilities in " + sweep->body);
+    return Fail("http sweep", "no probabilities in " + *sweep);
   }
   const char* cursor =
-      sweep->body.c_str() + probs_at + std::strlen("\"probabilities\":[");
+      sweep->c_str() + probs_at + std::strlen("\"probabilities\":[");
   const infer::LabeledRimModel& sweep_model = workload.models[0];
   for (std::size_t k = 0; k < grid.size(); ++k) {
     char* after = nullptr;
@@ -225,62 +249,31 @@ int main(int argc, char** argv) {
     }
   }
 
-  // 6. One hard-tier adaptive estimate over HTTP, issued twice: the answer
-  // must be a sane probability and the replay byte-equal (sampling is seeded
-  // by the model alone, and the second call is served from the hard cache).
-  std::string hard_json = QueryJson(workload.models[0], workload.patterns[0]);
-  hard_json.pop_back();  // trailing '}' — reopen to append the CI target
-  hard_json += ", \"target\": 0.02}";
-  StatusOr<net::HttpResult> hard =
-      net::HttpFetch(options.host, options.port, "POST", "/hard", hard_json);
-  if (!hard.ok()) return Fail("http hard", hard.status().ToString());
-  if (hard->status_code != 200) {
-    return Fail("http hard", "status " + std::to_string(hard->status_code) +
-                                 ": " + hard->body);
-  }
-  const std::size_t est_at = hard->body.find("\"estimate\":");
+  // 6. One hard-tier adaptive estimate over HTTP, replayed byte-equal: the
+  // answer must be a sane probability.
+  const std::optional<std::string> hard = PostReplayed(
+      options, "http hard", "/hard",
+      QueryJson(workload.models[0], workload.patterns[0],
+                ", \"target\": 0.02"));
+  if (!hard) return 1;
+  const std::size_t est_at = hard->find("\"estimate\":");
   if (est_at == std::string::npos) {
-    return Fail("http hard", "no estimate in " + hard->body);
+    return Fail("http hard", "no estimate in " + *hard);
   }
   const double estimate = std::strtod(
-      hard->body.c_str() + est_at + std::strlen("\"estimate\":"), nullptr);
+      hard->c_str() + est_at + std::strlen("\"estimate\":"), nullptr);
   if (!(estimate >= 0.0 && estimate <= 1.0)) {
-    return Fail("http hard", "estimate outside [0, 1]: " + hard->body);
-  }
-  StatusOr<net::HttpResult> hard_replay =
-      net::HttpFetch(options.host, options.port, "POST", "/hard", hard_json);
-  if (!hard_replay.ok()) {
-    return Fail("http hard replay", hard_replay.status().ToString());
-  }
-  if (hard_replay->status_code != 200 || hard_replay->body != hard->body) {
-    return Fail("http hard replay", "answer not byte-equal");
+    return Fail("http hard", "estimate outside [0, 1]: " + *hard);
   }
 
   // 7. One consensus top-k query over HTTP (no pattern — the query ranks the
   // model's own items), also replayed byte-equal.
-  std::string consensus_json =
-      QueryJson(workload.models[0], infer::LabelPattern());
-  consensus_json.pop_back();  // trailing '}' — reopen to append top_k
-  consensus_json += ", \"top_k\": 2}";
-  StatusOr<net::HttpResult> consensus = net::HttpFetch(
-      options.host, options.port, "POST", "/consensus", consensus_json);
-  if (!consensus.ok()) return Fail("http consensus", consensus.status().ToString());
-  if (consensus->status_code != 200) {
-    return Fail("http consensus",
-                "status " + std::to_string(consensus->status_code) + ": " +
-                    consensus->body);
-  }
-  if (consensus->body.find("\"ranking\":[") == std::string::npos) {
-    return Fail("http consensus", "no ranking in " + consensus->body);
-  }
-  StatusOr<net::HttpResult> consensus_replay = net::HttpFetch(
-      options.host, options.port, "POST", "/consensus", consensus_json);
-  if (!consensus_replay.ok()) {
-    return Fail("http consensus replay", consensus_replay.status().ToString());
-  }
-  if (consensus_replay->status_code != 200 ||
-      consensus_replay->body != consensus->body) {
-    return Fail("http consensus replay", "answer not byte-equal");
+  const std::optional<std::string> consensus = PostReplayed(
+      options, "http consensus", "/consensus",
+      QueryJson(workload.models[0], infer::LabelPattern(), ", \"top_k\": 2"));
+  if (!consensus) return 1;
+  if (consensus->find("\"ranking\":[") == std::string::npos) {
+    return Fail("http consensus", "no ranking in " + *consensus);
   }
 
   // 8. Metrics exposition includes both serve- and net-layer instruments.
