@@ -107,10 +107,10 @@ int main() {
         infer::PatternProb(*trace.requests[i].model, *trace.requests[i].pattern);
   }
 
-  Config configs[4] = {{"off (counters only)", false, 0},
-                       {"histograms", true, 0},
-                       {"histograms + 1% traces", true, 100},
-                       {"histograms + 100% traces", true, 10000}};
+  Config configs[4] = {{"off (counters only)", false, 0, nullptr},
+                       {"histograms", true, 0, nullptr},
+                       {"histograms + 1% traces", true, 100, nullptr},
+                       {"histograms + 100% traces", true, 10000, nullptr}};
   for (Config& config : configs) {
     serve::ServerOptions options;
     options.latency_histograms = config.histograms;

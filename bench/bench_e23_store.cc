@@ -1,10 +1,10 @@
 /// \file bench_e23_store.cc
-/// \brief E23: restart-to-first-answer with the persistent plan/circuit/
-/// result store vs. recomputation from scratch.
+/// \brief E23: restart-to-first-answer with the persistent circuit/result
+/// store vs. recomputation from scratch.
 ///
-/// The experiment models a serving restart. A first process compiles plans
-/// and answers a query set with `--store-dir` persistence, then goes away.
-/// Three restart paths answer the same queries:
+/// The experiment models a serving restart. A first process answers a
+/// query set with `--store-dir` persistence, writing one exact-result record
+/// per query, then goes away. Three restart paths answer the same queries:
 ///
 ///   cold             a fresh `serve::Server` with no store — every answer
 ///                    re-enumerates candidates, recompiles the DpPlan, and

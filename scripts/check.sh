@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Sanitizer gate, four stages:
-#   1. ASan+UBSan build of the library, tests, and benches; run the full
-#      tier-1 test suite under it (including the net protocol fuzz tests,
-#      where ASan turns any codec over-read into a hard failure).
+#   1. ASan+UBSan build of the library, tests, and benches, with compiler
+#      warnings as errors (CMAKE_COMPILE_WARNING_AS_ERROR, CMake >= 3.24) so
+#      the tree stays warning-free under -Wall -Wextra; run the full tier-1
+#      test suite under it (including the net protocol fuzz tests, where
+#      ASan turns any codec over-read into a hard failure).
 #   2. TSan build (thread sanitizer is incompatible with ASan, so it is a
 #      separate tree); run the concurrent serve-layer, obs, net, circuit,
 #      resilience, and hard-tier suites (`Serve*` / `Obs*` / `Net*` /
@@ -66,7 +68,8 @@ stage_done() {  # stage_done NAME — print the stage's wall-clock and reset
   STAGE_START=$SECONDS
 }
 
-cmake -B "$BUILD_DIR" -S . -DPPREF_SANITIZE=address -DCMAKE_BUILD_TYPE=RelWithDebInfo
+cmake -B "$BUILD_DIR" -S . -DPPREF_SANITIZE=address -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 stage_done "asan+ubsan full suite"

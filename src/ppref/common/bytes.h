@@ -1,6 +1,6 @@
 /// \file bytes.h
 /// \brief Little-endian byte-level encoding helpers shared by the on-disk
-/// store (store/), plan serialization (infer/internal/dp_plan), and tests.
+/// store (store/), the wire codec (net/), and tests.
 ///
 /// Writers append to a `std::string`; the reader is a bounds-checked cursor
 /// over a `std::string_view` that goes sticky-invalid on the first overrun
@@ -24,6 +24,11 @@
 
 namespace ppref {
 
+// The loads below are host-order memcpy, and the store's zero-copy circuit
+// arena is read in place: both are little-endian only.
+static_assert(std::endian::native == std::endian::little,
+              "ppref's byte formats assume a little-endian host");
+
 inline void PutU8(std::string& out, std::uint8_t value) {
   out.push_back(static_cast<char>(value));
 }
@@ -44,7 +49,16 @@ inline void PutDouble(std::string& out, double value) {
   PutU64(out, std::bit_cast<std::uint64_t>(value));
 }
 
-/// Unaligned little-endian loads from raw buffers (segment scans).
+/// Overwrites the u32 at byte offset `at` of `out` (a length known only
+/// after what it prefixes is written).
+inline void PatchU32(std::string& out, std::size_t at, std::uint32_t value) {
+  for (int shift = 0; shift < 32; shift += 8) {
+    out[at + shift / 8] = static_cast<char>((value >> shift) & 0xFF);
+  }
+}
+
+/// Unaligned little-endian loads from raw buffers (segment scans, wire
+/// header peeks).
 inline std::uint32_t LoadU32(const char* p) {
   std::uint32_t value = 0;
   std::memcpy(&value, p, sizeof(value));
@@ -95,9 +109,6 @@ class ByteReader {
     pos_ += n;
     return view;
   }
-
-  /// Everything not yet consumed (does not advance).
-  std::string_view Rest() const { return ok_ ? bytes_.substr(pos_) : ""; }
 
  private:
   bool Ensure(std::size_t n) {

@@ -1,9 +1,9 @@
 #include "ppref/infer/internal/dp_plan.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "ppref/circuit/circuit.h"
-#include "ppref/common/bytes.h"
 #include "ppref/common/check.h"
 #include "ppref/common/fault_injection.h"
 #include "ppref/obs/metrics.h"
@@ -148,92 +148,6 @@ DpPlan::DpPlan(const LabeledRimModel& model, const LabelPattern& pattern,
       }
     }
   }
-}
-
-void DpPlan::AppendDerived(std::string& out) const {
-  PutU8(out, acyclic_ ? 1 : 0);
-  PutU32(out, m_);
-  PutU32(out, k_);
-  PutU32(out, tracked_count_);
-  PutU32(out, state_size_);
-  if (!acyclic_) return;  // the cyclic plan carries nothing else
-  for (unsigned u = 0; u < k_; ++u) {
-    for (unsigned v = 0; v < k_; ++v) PutU8(out, reach_[u][v] ? 1 : 0);
-  }
-  const auto append_index = [&out](const std::vector<std::vector<unsigned>>& index) {
-    for (const std::vector<unsigned>& entries : index) {
-      PutU32(out, static_cast<std::uint32_t>(entries.size()));
-      for (unsigned entry : entries) PutU32(out, entry);
-    }
-  };
-  append_index(item_pattern_nodes_);
-  append_index(item_tracked_);
-  for (unsigned node = 0; node < k_; ++node) {
-    for (unsigned item = 0; item < m_; ++item) {
-      PutU8(out, node_item_ok_[node][item] ? 1 : 0);
-    }
-  }
-}
-
-std::optional<DpPlan> DpPlan::FromDerived(const LabeledRimModel& model,
-                                          const LabelPattern& pattern,
-                                          std::vector<LabelId> tracked,
-                                          std::string_view derived) {
-  ByteReader reader(derived);
-  DpPlan plan;
-  plan.model_ = &model;
-  plan.pattern_ = &pattern;
-  plan.tracked_ = std::move(tracked);
-  plan.acyclic_ = reader.U8() != 0;
-  plan.m_ = reader.U32();
-  plan.k_ = reader.U32();
-  plan.tracked_count_ = reader.U32();
-  plan.state_size_ = reader.U32();
-  // The scalars must agree with what compiling against these exact inputs
-  // would produce; anything else is drift and the caller recompiles.
-  if (!reader.ok() || plan.m_ != model.size() ||
-      plan.k_ != pattern.NodeCount() ||
-      plan.tracked_count_ != plan.tracked_.size() ||
-      plan.state_size_ != plan.k_ + 2 * plan.tracked_count_ ||
-      plan.m_ >= kUnsetPosition || plan.acyclic_ != pattern.IsAcyclic()) {
-    return std::nullopt;
-  }
-  if (!plan.acyclic_) {
-    if (reader.remaining() != 0) return std::nullopt;
-    return plan;
-  }
-  plan.reach_.assign(plan.k_, std::vector<bool>(plan.k_, false));
-  for (unsigned u = 0; u < plan.k_; ++u) {
-    for (unsigned v = 0; v < plan.k_; ++v) plan.reach_[u][v] = reader.U8() != 0;
-  }
-  const auto read_index = [&reader](std::vector<std::vector<unsigned>>& index,
-                                    unsigned count, unsigned bound) {
-    index.resize(count);
-    for (unsigned i = 0; i < count; ++i) {
-      const std::uint32_t n = reader.U32();
-      if (!reader.ok() || n > reader.remaining() / 4) return false;
-      index[i].resize(n);
-      for (std::uint32_t j = 0; j < n; ++j) {
-        index[i][j] = reader.U32();
-        if (index[i][j] >= bound) return false;
-      }
-    }
-    return true;
-  };
-  if (!read_index(plan.item_pattern_nodes_, plan.m_, plan.k_)) {
-    return std::nullopt;
-  }
-  if (!read_index(plan.item_tracked_, plan.m_, plan.tracked_count_)) {
-    return std::nullopt;
-  }
-  plan.node_item_ok_.assign(plan.k_, std::vector<bool>(plan.m_, false));
-  for (unsigned node = 0; node < plan.k_; ++node) {
-    for (unsigned item = 0; item < plan.m_; ++item) {
-      plan.node_item_ok_[node][item] = reader.U8() != 0;
-    }
-  }
-  if (!reader.ok() || reader.remaining() != 0) return std::nullopt;
-  return plan;
 }
 
 int DpPlan::MaxParentPosition(const std::uint16_t* state, unsigned node) const {

@@ -28,9 +28,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "ppref/common/deadline.h"
@@ -115,26 +112,7 @@ class DpPlan {
   const LabelPattern& pattern() const { return *pattern_; }
   const std::vector<LabelId>& tracked() const { return tracked_; }
 
-  /// Serializes the compiled γ-independent state — everything the
-  /// constructor derives beyond what (model, pattern, tracked) define —
-  /// for the persistent store (store/codec.h). Little-endian, restored by
-  /// `FromDerived`; the record-level CRC and format version live in the
-  /// store's segment layer, not here.
-  void AppendDerived(std::string& out) const;
-
-  /// Rebuilds a plan from previously serialized derived state, skipping
-  /// the compile. `model` and `pattern` are borrowed exactly like the
-  /// compiling constructor's. Returns nullopt when the bytes are
-  /// inconsistent with the model/pattern (format drift, or corruption the
-  /// segment CRC could not see) — callers fall back to compiling; a
-  /// restore never aborts.
-  static std::optional<DpPlan> FromDerived(const LabeledRimModel& model,
-                                           const LabelPattern& pattern,
-                                           std::vector<LabelId> tracked,
-                                           std::string_view derived);
-
  private:
-  DpPlan() = default;  // FromDerived fills every member
   /// The shared Fig. 5 / Fig. 6 scan. Leaves the aggregated final states in
   /// `scratch.current_`; returns false when γ is infeasible. Throws via
   /// `control` (when non-null) once a stop condition holds.

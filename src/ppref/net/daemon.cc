@@ -15,6 +15,7 @@
 #include <cstring>
 #include <iterator>
 
+#include "ppref/common/bytes.h"
 #include "ppref/common/hash.h"
 #include "ppref/common/parallel.h"
 #include "ppref/net/codec.h"
@@ -43,15 +44,7 @@ void SetNonBlocking(int fd) {
 /// Best-effort little-endian u64 opening a base request — how a shed or
 /// undecodable request's id is recovered without decoding the body (0 when
 /// too short).
-std::uint64_t PeekId(std::string_view base) {
-  if (base.size() < 8) return 0;
-  std::uint64_t id = 0;
-  for (int i = 0; i < 8; ++i) {
-    id |= static_cast<std::uint64_t>(static_cast<unsigned char>(base[i]))
-          << (8 * i);
-  }
-  return id;
-}
+std::uint64_t PeekId(std::string_view base) { return ByteReader(base).U64(); }
 
 /// Protocol-plane tags folded into idempotency-table keys: the binary and
 /// HTTP planes retain different byte encodings of the same logical answer,

@@ -81,46 +81,15 @@ std::uint64_t StageIdx(obs::Stage stage) {
 struct Server::CachedPlan {
   infer::LabeledRimModel model;
   infer::LabelPattern pattern;
-  std::vector<infer::LabelId> tracked;
   infer::internal::DpPlan plan;
 
   CachedPlan(const infer::LabeledRimModel& model_in,
              const infer::LabelPattern& pattern_in,
-             const std::vector<infer::LabelId>& tracked_in)
-      : model(model_in),
-        pattern(pattern_in),
-        tracked(tracked_in),
-        plan(model, pattern, tracked) {}
-
-  /// Restores from a decoded store record: the owned members are moved into
-  /// place first (their addresses are stable from here on), then the plan is
-  /// rebuilt against them — `DpPlan::FromDerived` borrows model and pattern
-  /// exactly like the compiling constructor. When the derived bytes do not
-  /// match the decoded inputs (format drift), the plan is compiled fresh
-  /// from them instead; `restored` reports which path ran.
-  CachedPlan(store::DecodedPlan decoded, bool& restored)
-      : model(std::move(decoded.model)),
-        pattern(std::move(decoded.pattern)),
-        tracked(std::move(decoded.tracked)),
-        plan(Rebuild(model, pattern, tracked, decoded.derived, restored)) {}
+             const std::vector<infer::LabelId>& tracked)
+      : model(model_in), pattern(pattern_in), plan(model, pattern, tracked) {}
 
   CachedPlan(const CachedPlan&) = delete;
   CachedPlan& operator=(const CachedPlan&) = delete;
-
- private:
-  static infer::internal::DpPlan Rebuild(
-      const infer::LabeledRimModel& model, const infer::LabelPattern& pattern,
-      const std::vector<infer::LabelId>& tracked, std::string_view derived,
-      bool& restored) {
-    if (auto plan =
-            infer::internal::DpPlan::FromDerived(model, pattern, tracked,
-                                                 derived)) {
-      restored = true;
-      return *std::move(plan);
-    }
-    restored = false;
-    return infer::internal::DpPlan(model, pattern, tracked);
-  }
 };
 
 /// A compiled arithmetic circuit, cached by (model structure, labeling,
@@ -686,25 +655,8 @@ std::shared_ptr<const Server::CachedPlan> Server::PlanFor(
   const auto compile = [&]() -> std::shared_ptr<const CachedPlan> {
     PPREF_FAULT_PLAN_COMPILE();
     if (control != nullptr) control->Check();
-    const auto restore =
-        [&](store::Store::Fetch& fetch) -> std::shared_ptr<const CachedPlan> {
-      auto decoded = store::DecodePlanPayload(fetch.bytes);
-      if (!decoded.has_value()) return nullptr;
-      // A plan record is self-contained: the decoded model/pattern/tracked
-      // plus the derived state rebuild the DpPlan without compiling (the
-      // normal path); derived bytes from a drifted build fall back to
-      // compiling from the decoded inputs, which is still correct — just
-      // not fast.
-      bool restored = false;
-      auto entry =
-          std::make_shared<const CachedPlan>(*std::move(decoded), restored);
-      if (!restored) instruments_->store_corrupt.Inc();
-      return entry;
-    };
-    if (auto loaded =
-            LoadFromStore(store::RecordKind::kPlan, plan_key, trace, restore)) {
-      return loaded;
-    }
+    // Plans are never persisted: compiling one costs microseconds, far less
+    // than the DP or circuit compile that always follows it.
     const obs::TraceSpan span(trace, obs::Stage::kPlanCompile);
     const std::uint64_t start = MonotonicNowNs();
     auto entry = std::make_shared<const CachedPlan>(model, pattern, tracked);
@@ -712,12 +664,6 @@ std::shared_ptr<const Server::CachedPlan> Server::PlanFor(
     instruments_->compile_ns.Inc(elapsed);
     if (options_.latency_histograms) {
       instruments_->plan_compile_ns.Record(elapsed);
-    }
-    if (options_.store != nullptr) {
-      instruments_->store_writes.Inc();
-      options_.store->Put(store::RecordKind::kPlan, plan_key,
-                          store::EncodePlanPayload(entry->model, entry->pattern,
-                                                   entry->tracked, entry->plan));
     }
     return entry;
   };

@@ -183,11 +183,12 @@ struct ServerOptions {
   /// 0 = unlimited.
   unsigned max_consensus_items = 256;
 
-  /// Optional persistent store (ppref/store/) backing all three caches.
-  /// Borrowed; must outlive the server. When set, a cache miss consults the
-  /// store before computing (mmap-served records make a restarted server
-  /// warm from disk), and freshly computed plans / circuits / exact results
-  /// are written behind for the next restart. A store record that fails to
+  /// Optional persistent store (ppref/store/) backing the circuit and
+  /// result caches. Borrowed; must outlive the server. When set, a miss in
+  /// either cache consults the store before computing (mmap-served records
+  /// make a restarted server warm from disk), and freshly compiled circuits
+  /// and exact results are written behind for the next restart. Plans are
+  /// cheap to recompile and are never persisted. A store record that fails to
   /// decode counts as a miss plus a corruption counter — never an error on
   /// the serving path. nullptr (the default) preserves the purely
   /// in-memory behavior bit for bit.

@@ -92,7 +92,7 @@ struct ServerStats {
   std::uint64_t store_corrupt = 0;
   /// Nanoseconds spent decoding store records.
   std::uint64_t store_load_ns = 0;
-  /// Records written behind to the store (plans, circuits, exact results).
+  /// Records written behind to the store (circuits and exact results).
   std::uint64_t store_writes = 0;
 
   /// Requests currently being served (admitted, not yet answered).

@@ -2,10 +2,8 @@
 
 #include <cstring>
 #include <utility>
+#include <vector>
 
-#include "ppref/rim/insertion.h"
-#include "ppref/rim/ranking.h"
-#include "ppref/rim/rim_model.h"
 #include "ppref/store/format.h"
 
 namespace ppref::store {
@@ -25,143 +23,6 @@ bool CountFits(const ByteReader& reader, std::uint64_t count,
 }
 
 }  // namespace
-
-// -- models and patterns ----------------------------------------------------
-
-void AppendModel(std::string& out, const infer::LabeledRimModel& model) {
-  const unsigned m = model.size();
-  PutU32(out, m);
-  for (unsigned p = 0; p < m; ++p) {
-    PutU32(out, model.model().reference().At(p));
-  }
-  for (unsigned t = 0; t < m; ++t) {
-    for (double prob : model.model().insertion().Row(t)) {
-      PutDouble(out, prob);
-    }
-  }
-  for (rim::ItemId item = 0; item < m; ++item) {
-    const std::vector<infer::LabelId>& labels =
-        model.labeling().LabelsOf(item);
-    PutU32(out, static_cast<std::uint32_t>(labels.size()));
-    for (infer::LabelId label : labels) PutU32(out, label);
-  }
-}
-
-std::optional<infer::LabeledRimModel> ReadModel(ByteReader& reader) {
-  const std::uint32_t m = reader.U32();
-  if (!reader.ok() || !CountFits(reader, m, 4)) return std::nullopt;
-  std::vector<rim::ItemId> order(m);
-  std::vector<bool> seen(m, false);
-  for (std::uint32_t p = 0; p < m; ++p) {
-    order[p] = reader.U32();
-    // Ranking's constructor CHECKs permutation-ness; validate here so a
-    // corrupt payload decodes to nullopt instead of aborting.
-    if (order[p] >= m || (reader.ok() && seen[order[p]])) return std::nullopt;
-    if (reader.ok()) seen[order[p]] = true;
-  }
-  if (!reader.ok()) return std::nullopt;
-  std::vector<std::vector<double>> rows(m);
-  for (std::uint32_t t = 0; t < m; ++t) {
-    if (!CountFits(reader, t + 1, 8)) return std::nullopt;
-    rows[t].resize(t + 1);
-    double sum = 0.0;
-    for (std::uint32_t j = 0; j <= t; ++j) {
-      rows[t][j] = reader.Double();
-      // InsertionFunction CHECKs non-negative rows summing to 1; pre-check.
-      if (!(rows[t][j] >= 0.0)) return std::nullopt;  // rejects NaN too
-      sum += rows[t][j];
-    }
-    if (!(sum > 1.0 - rim::InsertionFunction::kRowSumTolerance &&
-          sum < 1.0 + rim::InsertionFunction::kRowSumTolerance)) {
-      return std::nullopt;
-    }
-  }
-  if (!reader.ok()) return std::nullopt;
-  infer::ItemLabeling labeling(m);
-  for (rim::ItemId item = 0; item < m; ++item) {
-    const std::uint32_t n = reader.U32();
-    if (!reader.ok() || !CountFits(reader, n, 4)) return std::nullopt;
-    for (std::uint32_t i = 0; i < n; ++i) {
-      labeling.AddLabel(item, reader.U32());
-    }
-  }
-  if (!reader.ok()) return std::nullopt;
-  return infer::LabeledRimModel(
-      rim::RimModel(rim::Ranking(std::move(order)),
-                    rim::InsertionFunction(std::move(rows))),
-      std::move(labeling));
-}
-
-void AppendPattern(std::string& out, const infer::LabelPattern& pattern) {
-  const unsigned k = pattern.NodeCount();
-  PutU32(out, k);
-  for (unsigned node = 0; node < k; ++node) {
-    PutU32(out, pattern.NodeLabel(node));
-  }
-  for (unsigned node = 0; node < k; ++node) {
-    const std::vector<unsigned>& children = pattern.Children(node);
-    PutU32(out, static_cast<std::uint32_t>(children.size()));
-    for (unsigned child : children) PutU32(out, child);
-  }
-}
-
-std::optional<infer::LabelPattern> ReadPattern(ByteReader& reader) {
-  const std::uint32_t k = reader.U32();
-  if (!reader.ok() || !CountFits(reader, k, 4)) return std::nullopt;
-  infer::LabelPattern pattern;
-  std::vector<bool> label_seen;
-  std::vector<infer::LabelId> labels(k);
-  for (std::uint32_t node = 0; node < k; ++node) {
-    labels[node] = reader.U32();
-    // AddNode CHECKs label uniqueness; pre-check against the decoded set.
-    for (std::uint32_t prior = 0; reader.ok() && prior < node; ++prior) {
-      if (labels[prior] == labels[node]) return std::nullopt;
-    }
-  }
-  if (!reader.ok()) return std::nullopt;
-  for (infer::LabelId label : labels) pattern.AddNode(label);
-  for (std::uint32_t from = 0; from < k; ++from) {
-    const std::uint32_t n = reader.U32();
-    if (!reader.ok() || !CountFits(reader, n, 4)) return std::nullopt;
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const std::uint32_t to = reader.U32();
-      if (!reader.ok() || to >= k || to == from) return std::nullopt;
-      pattern.AddEdge(from, to);
-    }
-  }
-  if (!reader.ok()) return std::nullopt;
-  return pattern;
-}
-
-// -- kPlan ------------------------------------------------------------------
-
-std::string EncodePlanPayload(const infer::LabeledRimModel& model,
-                              const infer::LabelPattern& pattern,
-                              const std::vector<infer::LabelId>& tracked,
-                              const infer::internal::DpPlan& plan) {
-  std::string out;
-  AppendModel(out, model);
-  AppendPattern(out, pattern);
-  PutU32(out, static_cast<std::uint32_t>(tracked.size()));
-  for (infer::LabelId label : tracked) PutU32(out, label);
-  plan.AppendDerived(out);
-  return out;
-}
-
-std::optional<DecodedPlan> DecodePlanPayload(std::string_view payload) {
-  ByteReader reader(payload);
-  std::optional<infer::LabeledRimModel> model = ReadModel(reader);
-  if (!model.has_value()) return std::nullopt;
-  std::optional<infer::LabelPattern> pattern = ReadPattern(reader);
-  if (!pattern.has_value()) return std::nullopt;
-  const std::uint32_t tracked_count = reader.U32();
-  if (!reader.ok() || !CountFits(reader, tracked_count, 4)) return std::nullopt;
-  std::vector<infer::LabelId> tracked(tracked_count);
-  for (std::uint32_t i = 0; i < tracked_count; ++i) tracked[i] = reader.U32();
-  if (!reader.ok()) return std::nullopt;
-  return DecodedPlan{std::move(*model), std::move(*pattern),
-                     std::move(tracked), std::string(reader.Rest())};
-}
 
 // -- kCircuit ---------------------------------------------------------------
 

@@ -1,14 +1,9 @@
 /// \file codec.h
 /// \brief Record payload encode/decode for the PPST store.
 ///
-/// Three payload kinds (format.h's `RecordKind`), all little-endian with
-/// doubles as IEEE-754 bit patterns (common/bytes.h):
+/// Two payload kinds are written (format.h's `RecordKind`), both
+/// little-endian with doubles as IEEE-754 bit patterns (common/bytes.h):
 ///
-///   kPlan     model (reference σ, insertion rows Π, labeling λ) + pattern
-///             + tracked labels + the DpPlan's serialized derived state —
-///             self-contained, so a plan record can rebuild its `DpPlan`
-///             without re-deriving anything and without an accompanying
-///             request.
 ///   kCircuit  items, root, consts, prefix steps, then the packed 16-byte
 ///             node arena — zero padding places the arena at a 16-byte
 ///             offset from the payload start, which the segment layer
@@ -16,13 +11,15 @@
 ///             borrows the arena in place (`Circuit::FromBorrowedArena`).
 ///   kResult   probability bits + optional top matching.
 ///
+/// Compiled plans are not persisted: a DpPlan recompiles from its request
+/// in microseconds, so `RecordKind::kPlan` has no codec.
+///
 /// Every decoder is total: corrupt or truncated payloads return nullopt,
 /// never abort — the serving layer treats a failed decode as a store miss
 /// (plus a corruption counter), honoring the never-silently-wrong /
-/// never-crash recovery contract. Decoders validate semantic invariants the
-/// segment CRC cannot (operand topology in circuits, index bounds in
-/// plans), because a record may be well-checksummed yet written by a
-/// different build.
+/// never-crash recovery contract. The circuit decoder validates operand
+/// topology, which the segment CRC cannot, because a record may be
+/// well-checksummed yet written by a different build.
 
 #ifndef PPREF_STORE_CODEC_H_
 #define PPREF_STORE_CODEC_H_
@@ -32,47 +29,12 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "ppref/circuit/circuit.h"
 #include "ppref/common/bytes.h"
-#include "ppref/infer/internal/dp_plan.h"
-#include "ppref/infer/labeled_rim.h"
 #include "ppref/infer/matching.h"
-#include "ppref/infer/pattern.h"
 
 namespace ppref::store {
-
-// -- models and patterns (building blocks of plan payloads; exposed for
-//    tests and offline tooling) ---------------------------------------------
-
-void AppendModel(std::string& out, const infer::LabeledRimModel& model);
-std::optional<infer::LabeledRimModel> ReadModel(ByteReader& reader);
-
-void AppendPattern(std::string& out, const infer::LabelPattern& pattern);
-std::optional<infer::LabelPattern> ReadPattern(ByteReader& reader);
-
-// -- kPlan ------------------------------------------------------------------
-
-/// Serializes a compiled plan together with the inputs it was compiled
-/// from. `plan` must have been built over `model`/`pattern`.
-std::string EncodePlanPayload(const infer::LabeledRimModel& model,
-                              const infer::LabelPattern& pattern,
-                              const std::vector<infer::LabelId>& tracked,
-                              const infer::internal::DpPlan& plan);
-
-/// A decoded plan record: owns the model/pattern/tracked the plan borrows,
-/// so the struct must stay put once the plan is restored — callers move
-/// the parts into their own stable storage *first*, then call
-/// `DpPlan::FromDerived` against those (see serve::Server's CachedPlan).
-struct DecodedPlan {
-  infer::LabeledRimModel model;
-  infer::LabelPattern pattern;
-  std::vector<infer::LabelId> tracked;
-  std::string derived;  // opaque bytes for DpPlan::FromDerived
-};
-
-std::optional<DecodedPlan> DecodePlanPayload(std::string_view payload);
 
 // -- kCircuit ---------------------------------------------------------------
 

@@ -65,7 +65,8 @@ inline constexpr std::uint32_t kMaxPayloadBytes = 256u * 1024 * 1024;
 
 /// What a record's payload decodes to. Values are part of the format.
 enum class RecordKind : std::uint8_t {
-  kPlan = 1,     // model + pattern + tracked + DpPlan derived state
+  kPlan = 1,     // retired: no longer written or read; still scanned so
+                 // records from older writers stay valid until compaction
   kCircuit = 2,  // compiled circuit arena (zero-copy mmap layout)
   kResult = 3,   // memoized probability (+ optional top matching)
 };

@@ -251,9 +251,10 @@ TEST(ServeServerTest, ConcurrentMixedWorkloadStress) {
             // A small batch with an in-batch duplicate.
             const std::size_t other = (k + 1) % kWork;
             std::vector<Request> batch(3);
-            batch[0] = {Request::Kind::kPatternProb, &models[k], &patterns[k]};
+            batch[0] = {Request::Kind::kPatternProb, &models[k], &patterns[k],
+                        {}};
             batch[1] = {Request::Kind::kPatternProb, &models[other],
-                        &patterns[other]};
+                        &patterns[other], {}};
             batch[2] = batch[0];
             const std::vector<Response> responses = server.EvaluateBatch(batch);
             if (responses[0].probability != expected_prob[k] ||

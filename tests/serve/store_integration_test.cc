@@ -152,24 +152,56 @@ TEST(StoreIntegrationTest, CorruptStoreRecordDegradesToRecompute) {
   const std::string dir = TempStoreDir("corrupt");
   const infer::LabeledRimModel model = MakeModel(6, 0.5);
   const infer::LabelPattern pattern = Chain({0, 2});
-  const double expected = infer::PatternProb(model, pattern);
+  const std::vector<std::vector<double>> params = {{0.25}, {0.5}, {0.75}};
 
-  // Plant an undecodable payload under the exact plan key the server will
-  // look up. The segment CRC is fine (the store wrote it), so this models a
-  // record written by a different build: the codec must reject it and the
-  // server must recompute — corrupt storage is never silently wrong.
-  const std::uint64_t plan_key = PlanKey(model, pattern, {});
+  // Plant an undecodable payload under the exact circuit key the server
+  // will look up. The segment CRC is fine (the store wrote it), so this
+  // models a record written by a different build: the codec must reject it
+  // and the server must recompile — corrupt storage is never silently
+  // wrong.
   auto opened = store::Store::Open(FastStoreOptions(dir));
   ASSERT_TRUE(opened.ok());
   std::unique_ptr<store::Store> persistent = std::move(opened).value();
-  persistent->Put(store::RecordKind::kPlan, plan_key,
+  persistent->Put(store::RecordKind::kCircuit, CircuitKey(model, pattern),
+                  "definitely not a circuit payload");
+  ServerOptions options;
+  options.store = persistent.get();
+  Server server(options);
+  StatusOr<std::vector<double>> swept =
+      server.PatternProbSweep(model, pattern, params);
+  ASSERT_TRUE(swept.ok()) << swept.status().ToString();
+  ASSERT_EQ(swept->size(), params.size());
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    EXPECT_EQ((*swept)[i],
+              infer::PatternProb(MakeModel(6, params[i][0]), pattern))
+        << "point " << i;
+  }
+  const ServerStats stats = server.stats();
+  EXPECT_GT(stats.store_corrupt, 0u);
+}
+
+TEST(StoreIntegrationTest, PlanRecordsAreNeverRead) {
+  const std::string dir = TempStoreDir("plan");
+  const infer::LabeledRimModel model = MakeModel(6, 0.5);
+  const infer::LabelPattern pattern = Chain({0, 2});
+  const double expected = infer::PatternProb(model, pattern);
+
+  // A plan record under the exact plan key, as an older writer left it.
+  // Plans are always compiled, never fetched, so the payload is never
+  // decoded: the only store traffic is the result miss and its write.
+  auto opened = store::Store::Open(FastStoreOptions(dir));
+  ASSERT_TRUE(opened.ok());
+  std::unique_ptr<store::Store> persistent = std::move(opened).value();
+  persistent->Put(store::RecordKind::kPlan, PlanKey(model, pattern, {}),
                   "definitely not a plan payload");
   ServerOptions options;
   options.store = persistent.get();
   Server server(options);
   EXPECT_EQ(server.PatternProbability(model, pattern), expected);
   const ServerStats stats = server.stats();
-  EXPECT_GT(stats.store_corrupt, 0u);
+  EXPECT_EQ(stats.store_corrupt, 0u);
+  EXPECT_EQ(stats.store_misses, 1u);
+  EXPECT_EQ(stats.store_writes, 1u);
 }
 
 TEST(StoreIntegrationTest, StorelessServerHasNoStoreTraffic) {
@@ -217,7 +249,7 @@ TEST(StoreIntegrationTest, SweepWarmRestartServesCircuitFromDisk) {
       server.PatternProbSweep(model, pattern, params);
   ASSERT_TRUE(swept.ok()) << swept.status().ToString();
   EXPECT_EQ(*swept, cold_points);
-  // The circuit (and the plan it was compiled from) came off disk.
+  // The circuit came off disk.
   EXPECT_GT(server.stats().store_hits, 0u);
 }
 

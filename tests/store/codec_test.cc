@@ -1,6 +1,5 @@
 #include "ppref/store/codec.h"
 
-#include <cmath>
 #include <cstring>
 #include <memory>
 #include <optional>
@@ -10,12 +9,10 @@
 #include "gtest/gtest.h"
 #include "ppref/circuit/circuit.h"
 #include "ppref/circuit/compile.h"
-#include "ppref/common/bytes.h"
 #include "ppref/infer/internal/dp_plan.h"
 #include "ppref/infer/labeled_rim.h"
 #include "ppref/infer/labeling.h"
 #include "ppref/infer/pattern.h"
-#include "ppref/infer/top_prob.h"
 #include "ppref/rim/insertion.h"
 #include "ppref/rim/ranking.h"
 #include "ppref/rim/rim_model.h"
@@ -45,99 +42,6 @@ infer::LabelPattern ChainPattern() {
   pattern.AddEdge(0, 1);
   pattern.AddEdge(1, 2);
   return pattern;
-}
-
-TEST(StoreCodecTest, ModelRoundTripIsBitExact) {
-  const infer::LabeledRimModel model = TestModel(6, 0.37);
-  std::string bytes;
-  AppendModel(bytes, model);
-  ByteReader reader(bytes);
-  const std::optional<infer::LabeledRimModel> decoded = ReadModel(reader);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_TRUE(reader.ok());
-  EXPECT_EQ(reader.remaining(), 0u);
-  ASSERT_EQ(decoded->size(), model.size());
-  for (unsigned p = 0; p < model.size(); ++p) {
-    EXPECT_EQ(decoded->model().reference().At(p), model.model().reference().At(p));
-  }
-  for (unsigned t = 0; t < model.size(); ++t) {
-    const std::vector<double>& row = model.model().insertion().Row(t);
-    const std::vector<double>& got = decoded->model().insertion().Row(t);
-    ASSERT_EQ(got.size(), row.size());
-    for (std::size_t j = 0; j < row.size(); ++j) {
-      // Bit-exact, not approximately-equal: the store serves bit identity.
-      EXPECT_EQ(std::memcmp(&got[j], &row[j], sizeof(double)), 0);
-    }
-  }
-  for (unsigned item = 0; item < model.size(); ++item) {
-    EXPECT_EQ(decoded->labeling().LabelsOf(item),
-              model.labeling().LabelsOf(item));
-  }
-}
-
-TEST(StoreCodecTest, PatternRoundTrip) {
-  const infer::LabelPattern pattern = ChainPattern();
-  std::string bytes;
-  AppendPattern(bytes, pattern);
-  ByteReader reader(bytes);
-  const std::optional<infer::LabelPattern> decoded = ReadPattern(reader);
-  ASSERT_TRUE(decoded.has_value());
-  ASSERT_EQ(decoded->NodeCount(), pattern.NodeCount());
-  for (unsigned node = 0; node < pattern.NodeCount(); ++node) {
-    EXPECT_EQ(decoded->NodeLabel(node), pattern.NodeLabel(node));
-    EXPECT_EQ(decoded->Children(node), pattern.Children(node));
-  }
-}
-
-TEST(StoreCodecTest, PlanPayloadRestoresWithoutRecompiling) {
-  const infer::LabeledRimModel model = TestModel(6, 0.42);
-  const infer::LabelPattern pattern = ChainPattern();
-  const std::vector<infer::LabelId> tracked = {0, 2};
-  const infer::internal::DpPlan plan(model, pattern, tracked);
-
-  const std::string payload = EncodePlanPayload(model, pattern, tracked, plan);
-  std::optional<DecodedPlan> decoded = DecodePlanPayload(payload);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->tracked, tracked);
-
-  std::optional<infer::internal::DpPlan> restored =
-      infer::internal::DpPlan::FromDerived(decoded->model, decoded->pattern,
-                                           decoded->tracked, decoded->derived);
-  ASSERT_TRUE(restored.has_value());
-
-  infer::PatternProbOptions exec;
-  EXPECT_EQ(infer::PatternProbWithPlan(*restored, exec),
-            infer::PatternProbWithPlan(plan, exec));
-}
-
-TEST(StoreCodecTest, PlanDecodeSurvivesTruncationAndBitFlips) {
-  const infer::LabeledRimModel model = TestModel(5, 0.6);
-  const infer::LabelPattern pattern = ChainPattern();
-  const std::vector<infer::LabelId> tracked = {1};
-  const infer::internal::DpPlan plan(model, pattern, tracked);
-  const std::string payload = EncodePlanPayload(model, pattern, tracked, plan);
-
-  // Every truncation either decodes to something FromDerived can judge or
-  // returns nullopt — never a crash, never an abort.
-  for (std::size_t n = 0; n < payload.size(); ++n) {
-    std::optional<DecodedPlan> decoded =
-        DecodePlanPayload(std::string_view(payload.data(), n));
-    if (decoded.has_value()) {
-      infer::internal::DpPlan::FromDerived(decoded->model, decoded->pattern,
-                                           decoded->tracked, decoded->derived);
-    }
-  }
-  // Byte-level corruption sweeps: flip one byte at a stride over the whole
-  // payload (exhaustive flips are quadratic in payload size).
-  for (std::size_t at = 0; at < payload.size(); at += 3) {
-    std::string corrupt = payload;
-    corrupt[at] = static_cast<char>(corrupt[at] + 1);
-    std::optional<DecodedPlan> decoded = DecodePlanPayload(corrupt);
-    if (decoded.has_value()) {
-      infer::internal::DpPlan::FromDerived(decoded->model, decoded->pattern,
-                                           decoded->tracked, decoded->derived);
-    }
-  }
 }
 
 TEST(StoreCodecTest, CircuitRoundTripEvaluatesBitIdentically) {

@@ -124,7 +124,9 @@ TEST(StoreTest, SealingConvergesToMappedServing) {
   std::unique_ptr<Store> store = std::move(opened).value();
   for (std::uint64_t key = 1; key <= 200; ++key) {
     store->Put(RecordKind::kResult, key, PayloadFor(key));
-    if (key % 25 == 0) ASSERT_TRUE(store->Flush().ok());
+    if (key % 25 == 0) {
+      ASSERT_TRUE(store->Flush().ok());
+    }
   }
   ASSERT_TRUE(store->Flush().ok());
   const StoreStats stats = store->stats();
@@ -148,7 +150,9 @@ TEST(StoreTest, CompactionRespectsBudgetAndKeepsNewest) {
   std::unique_ptr<Store> store = std::move(opened).value();
   for (std::uint64_t key = 1; key <= 600; ++key) {
     store->Put(RecordKind::kResult, key, PayloadFor(key));
-    if (key % 40 == 0) ASSERT_TRUE(store->Flush().ok());
+    if (key % 40 == 0) {
+      ASSERT_TRUE(store->Flush().ok());
+    }
   }
   ASSERT_TRUE(store->Flush().ok());
   const StoreStats stats = store->stats();
@@ -179,7 +183,9 @@ TEST(StoreTest, FetchOwnerOutlivesCompaction) {
       held.has_value() ? std::string(held->bytes) : std::string();
   for (std::uint64_t key = 51; key <= 400; ++key) {
     store->Put(RecordKind::kResult, key, PayloadFor(key));
-    if (key % 30 == 0) ASSERT_TRUE(store->Flush().ok());
+    if (key % 30 == 0) {
+      ASSERT_TRUE(store->Flush().ok());
+    }
   }
   ASSERT_TRUE(store->Flush().ok());
   if (held.has_value()) {
@@ -209,7 +215,9 @@ TEST(StoreTest, ConcurrentPutGetFlush) {
             store->Get(RecordKind::kResult, key);
         ASSERT_TRUE(fetch.has_value());
         EXPECT_EQ(fetch->bytes, PayloadFor(key));
-        if (i % 37 == 0) EXPECT_TRUE(store->Flush().ok());
+        if (i % 37 == 0) {
+          EXPECT_TRUE(store->Flush().ok());
+        }
       }
     });
   }

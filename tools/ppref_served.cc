@@ -24,8 +24,8 @@
 /// socket closes, in-flight requests finish and flush, then the process
 /// exits 0.
 ///
-/// `--store-dir` opens (recovering if needed) a persistent plan/circuit/
-/// result store backing the server's caches: a restarted daemon pointed at
+/// `--store-dir` opens (recovering if needed) a persistent circuit/result
+/// store backing the server's caches: a restarted daemon pointed at
 /// the same directory answers repeat queries warm from disk. The drain path
 /// flushes the store after the last connection closes and reports the flush
 /// duration in the final log line. Without the flag the daemon is purely
