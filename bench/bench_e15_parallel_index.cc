@@ -1,78 +1,19 @@
 /// \file bench_e15_parallel_index.cc
-/// \brief Experiment E15 — systems mechanics: (a) the session-parallel
-/// evaluator (§6's CPU-parallelism direction) is bit-identical to the
-/// serial one, with speedup bounded by the available cores; (b) the
-/// relation point indexes make bound-term probes O(1), so selective query
-/// times stay flat as the data grows while unavoidable full scans grow
-/// linearly.
+/// \brief Experiment E15 — systems mechanics: the relation point indexes
+/// make bound-term probes O(1), so selective query times stay flat as the
+/// data grows while unavoidable full scans grow linearly.
 
 #include <cstdio>
-#include <string>
-#include <thread>
 
 #include "bench_util.h"
-#include "ppref/ppd/evaluator.h"
 #include "ppref/query/eval.h"
 #include "ppref/query/parser.h"
-
-namespace {
-
-ppref::ppd::RimPpd ManySessions(unsigned sessions) {
-  using namespace ppref;
-  ppd::RimPpd ppd(db::ElectionSchema());
-  std::vector<db::Value> names;
-  // The witness pair sits at opposite ends of every reference so the
-  // confidence stays informative (cf. E4).
-  for (unsigned c = 0; c < 12; ++c) {
-    const db::Value name("cand" + std::to_string(c));
-    names.push_back(name);
-    const bool first = c == 0;
-    const bool last = c == 11;
-    ppd.AddFact("Candidates", {name, (first || last) ? "D" : "R",
-                               first ? "F" : "M", "BS"});
-  }
-  for (unsigned v = 0; v < sessions; ++v) {
-    const db::Value voter("voter" + std::to_string(v));
-    ppd.AddFact("Voters", {voter, "BS", "F", 30});
-    ppd.AddSession("Polls", {voter, "Oct-5"},
-                   ppd::SessionModel::Mallows(names, 0.4));
-  }
-  return ppd;
-}
-
-}  // namespace
 
 int main() {
   using namespace ppref;
   using namespace ppref::bench;
 
-  PrintHeader("E15", "session-parallel evaluation + point-index probes");
-  std::printf("hardware threads available: %u\n\n",
-              std::thread::hardware_concurrency());
-
-  std::printf("Part 1: parallel evaluator (600 sessions, 12 candidates).\n");
-  std::printf("%8s %14s %14s %12s\n", "threads", "conf", "time [ms]",
-              "== serial");
-  {
-    const auto ppd = ManySessions(600);
-    const auto q = query::ParseQuery(
-        "Q() :- Polls(v, _; l; r), Voters(v, 'BS', _, _), "
-        "Candidates(l, 'D', 'M', _), Candidates(r, 'D', 'F', _)",
-        ppd.schema());
-    const double serial = ppd::EvaluateBoolean(ppd, q);
-    for (unsigned threads : {1u, 2u, 4u, 8u}) {
-      double conf = 0.0;
-      const double elapsed = TimeMs(
-          [&] { conf = ppd::EvaluateBooleanParallel(ppd, q, threads); });
-      std::printf("%8u %14.9f %14.2f %12s\n", threads, conf, elapsed,
-                  conf == serial ? "yes" : "NO (bug!)");
-    }
-    std::printf("(speedup tracks the core count; on a single-core host the\n"
-                " rows differ only by thread-spawn overhead)\n");
-  }
-
-  std::printf("\nPart 2: point-index probes vs full scans on a growing "
-              "relation.\n");
+  PrintHeader("E15", "point-index probes vs full scans on a growing relation");
   std::printf("%10s %22s %22s\n", "facts", "selective query [ms]",
               "full-scan query [ms]");
   {

@@ -9,7 +9,9 @@
 #      separate tree); run the concurrent serve-layer, obs, net, circuit,
 #      resilience, and hard-tier suites (`Serve*` / `Obs*` / `Net*` /
 #      `Circuit*` / `Resil*` / `Hard*`, the last covering the block-parallel
-#      adaptive sampler and shared world pools)
+#      adaptive sampler and shared world pools), plus `Parallel*`, the
+#      ParallelFor primitive under both fan-outs (join-before-rethrow on a
+#      stop included)
 #      — the tests that exercise cross-thread synchronization
 #      directly (batch fan-out, sharded caches — including the
 #      structure-keyed circuit cache behind concurrent sweeps — the metric
@@ -78,18 +80,18 @@ cmake -B "$TSAN_DIR" -S . -DPPREF_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebI
   -DPPREF_BUILD_BENCHMARKS=OFF -DPPREF_BUILD_EXAMPLES=OFF
 cmake --build "$TSAN_DIR" -j "$(nproc)" --target serve_test --target obs_test \
   --target net_test --target circuit_test --target store_test \
-  --target resil_test --target hard_test
-ctest --test-dir "$TSAN_DIR" --output-on-failure -R '^Serve|^Obs|^Net|^Circuit|^Store|^Resil|^Hard'
-stage_done "tsan serve+obs+net+circuit+store+resil+hard"
+  --target resil_test --target hard_test --target common_test
+ctest --test-dir "$TSAN_DIR" --output-on-failure -R '^Serve|^Obs|^Net|^Circuit|^Store|^Resil|^Hard|^Parallel'
+stage_done "tsan serve+obs+net+circuit+store+resil+hard+parallel"
 
 cmake -B "$CHAOS_DIR" -S . -DPPREF_SANITIZE=thread -DPPREF_FAULT_INJECTION=ON \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DPPREF_BUILD_BENCHMARKS=OFF -DPPREF_BUILD_EXAMPLES=OFF
 cmake --build "$CHAOS_DIR" -j "$(nproc)" --target serve_test --target obs_test \
   --target net_test --target circuit_test --target store_test \
-  --target resil_test --target hard_test
-ctest --test-dir "$CHAOS_DIR" --output-on-failure -R '^Serve|^Obs|^Net|^Circuit|^Store|^Resil|^Hard'
-stage_done "tsan+chaos serve+obs+net+circuit+store+resil+hard"
+  --target resil_test --target hard_test --target common_test
+ctest --test-dir "$CHAOS_DIR" --output-on-failure -R '^Serve|^Obs|^Net|^Circuit|^Store|^Resil|^Hard|^Parallel'
+stage_done "tsan+chaos serve+obs+net+circuit+store+resil+hard+parallel"
 
 # Store crash-recovery (fork-based kill-9 tests only run un-TSan'd) plus
 # the hard-tier suites, whose seeded parallel sampling ASan checks for

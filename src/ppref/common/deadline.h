@@ -7,9 +7,9 @@
 /// `Check()` (amortized through `StopCheck` so the clock is read once per
 /// ~thousand DP entries). When the deadline passes or the caller's
 /// `CancellationToken` fires, the check throws `DeadlineExceededError` /
-/// `CancelledError`; the exception unwinds through `ParallelForWorkers`
-/// (which always joins every worker before rethrowing, so no worker state
-/// leaks) and is converted to a `Status` at the serving boundary.
+/// `CancelledError`; the exception unwinds through `ParallelFor` (which
+/// always joins every worker before rethrowing, so no worker state leaks)
+/// and is converted to a `Status` at the serving boundary.
 ///
 /// Deadlines use `std::chrono::steady_clock` — wall-clock adjustments must
 /// never extend or shorten a request budget.

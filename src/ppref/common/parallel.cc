@@ -5,33 +5,15 @@
 #include <thread>
 #include <vector>
 
-#include "ppref/common/deadline.h"
-
 namespace ppref {
 
 void ParallelFor(std::size_t count, unsigned threads,
                  const std::function<void(std::size_t)>& body) {
-  ParallelForWorkers(count, threads, nullptr,
-                     [&body](unsigned, std::size_t i) { body(i); });
-}
-
-void ParallelForWorkers(
-    std::size_t count, unsigned threads,
-    const std::function<void(unsigned worker, std::size_t i)>& body) {
-  ParallelForWorkers(count, threads, nullptr, body);
-}
-
-void ParallelForWorkers(
-    std::size_t count, unsigned threads, const RunControl* control,
-    const std::function<void(unsigned worker, std::size_t i)>& body) {
   if (count == 0) return;
   const unsigned workers =
       static_cast<unsigned>(std::min<std::size_t>(threads, count));
   if (workers <= 1) {
-    for (std::size_t i = 0; i < count; ++i) {
-      if (control != nullptr) control->Check();
-      body(0, i);
-    }
+    for (std::size_t i = 0; i < count; ++i) body(i);
     return;
   }
   std::vector<std::exception_ptr> errors(workers);
@@ -43,10 +25,7 @@ void ParallelForWorkers(
         // Static block partition: worker w owns [begin, end).
         const std::size_t begin = count * w / workers;
         const std::size_t end = count * (w + 1) / workers;
-        for (std::size_t i = begin; i < end; ++i) {
-          if (control != nullptr) control->Check();
-          body(w, i);
-        }
+        for (std::size_t i = begin; i < end; ++i) body(i);
       } catch (...) {
         errors[w] = std::current_exception();
       }
@@ -56,12 +35,6 @@ void ParallelForWorkers(
   for (const std::exception_ptr& error : errors) {
     if (error) std::rethrow_exception(error);
   }
-}
-
-unsigned DefaultThreadCount() {
-  // Delegate the hardware probe to ClampThreads — the single clamping
-  // point — and keep only the historical cap of 8 here.
-  return std::min(ClampThreads(0), 8u);
 }
 
 unsigned ClampThreads(unsigned requested) {

@@ -1,11 +1,10 @@
 /// \file parallel.h
 /// \brief Minimal data-parallel helper for embarrassingly parallel loops.
 ///
-/// The PPD evaluators are products of independent per-session quantities
-/// (§3.2 session independence), which the paper's §6 singles out for CPU
-/// parallelism. `ParallelFor` fans a loop body out over a fixed number of
-/// worker threads with static chunking — deterministic work assignment, so
-/// results are bit-identical across runs.
+/// `ParallelFor` fans a loop body out over a fixed number of worker threads
+/// with static chunking — deterministic work assignment, so results are
+/// bit-identical across runs. It carries the tree's two fan-outs:
+/// `serve::Server::EvaluateBatch` and `hard::RunSeededBlocks`.
 
 #ifndef PPREF_COMMON_PARALLEL_H_
 #define PPREF_COMMON_PARALLEL_H_
@@ -18,40 +17,17 @@ namespace ppref {
 /// Invokes `body(i)` for every i in [0, count), distributing iterations
 /// over `threads` workers (static block partition). `threads <= 1` or
 /// `count <= 1` runs inline. `body` must be safe to call concurrently for
-/// distinct i; exceptions thrown by `body` are rethrown on the caller
-/// thread (the first one encountered by worker order).
+/// distinct i; exceptions thrown by `body` (e.g. by `RunControl::Check()`)
+/// are rethrown on the caller thread (the first one by worker order) after
+/// every worker has joined.
 void ParallelFor(std::size_t count, unsigned threads,
                  const std::function<void(std::size_t)>& body);
-
-/// Like ParallelFor, but `body(worker, i)` also receives the index of the
-/// worker running the iteration (0 <= worker < min(threads, count)). All
-/// iterations of one worker run on one thread in increasing i, so `worker`
-/// safely indexes per-worker scratch buffers (e.g. the DP plan scratches of
-/// matching-level parallelism).
-void ParallelForWorkers(
-    std::size_t count, unsigned threads,
-    const std::function<void(unsigned worker, std::size_t i)>& body);
-
-struct RunControl;
-
-/// ParallelForWorkers with a stop condition: every worker calls
-/// `control->Check()` before each iteration (when `control` is non-null),
-/// so an expired deadline or fired cancellation token stops all workers
-/// within one iteration each. The resulting DeadlineExceededError /
-/// CancelledError is rethrown on the caller thread after every worker has
-/// joined — workers never outlive the call, so no state leaks.
-void ParallelForWorkers(
-    std::size_t count, unsigned threads, const RunControl* control,
-    const std::function<void(unsigned worker, std::size_t i)>& body);
-
-/// A reasonable default worker count: hardware concurrency capped at 8.
-unsigned DefaultThreadCount();
 
 /// Resolves a user-facing `threads` knob into an effective worker count:
 /// 0 means "auto" (every hardware thread); any other value is clamped to
 /// `std::thread::hardware_concurrency()`. Never returns 0. Oversubscribing
-/// a CPU-bound DP only adds context switches, so the clamp is a contract,
-/// not a heuristic — see PatternProbOptions::threads.
+/// CPU-bound work only adds context switches, so the clamp is a contract,
+/// not a heuristic — see ServerOptions::threads.
 unsigned ClampThreads(unsigned requested);
 
 }  // namespace ppref

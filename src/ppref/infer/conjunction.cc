@@ -58,24 +58,18 @@ PatternInstance Conjoin(const PatternInstance& a, const PatternInstance& b) {
 }
 
 double ConjunctionProb(const rim::RimModel& model, const PatternInstance& a,
-                       const PatternInstance& b,
-                       const PatternProbOptions& options) {
+                       const PatternInstance& b) {
   const PatternInstance joint = Conjoin(a, b);
-  return PatternProb(LabeledRimModel(model, joint.labeling), joint.pattern,
-                     options);
+  return PatternProb(LabeledRimModel(model, joint.labeling), joint.pattern);
 }
 
 double ConditionalPatternProb(const rim::RimModel& model,
                               const PatternInstance& target,
-                              const PatternInstance& given,
-                              const PatternProbOptions& options) {
-  const double given_prob = PatternProb(
-      LabeledRimModel(model, given.labeling), given.pattern, options);
+                              const PatternInstance& given) {
+  const double given_prob =
+      PatternProb(LabeledRimModel(model, given.labeling), given.pattern);
   if (given_prob <= 0.0) return 0.0;
-  // Both PatternProb calls poll options.control internally; this check
-  // covers the seam between them so a stop never starts the second DP.
-  if (options.control != nullptr) options.control->Check();
-  return ConjunctionProb(model, target, given, options) / given_prob;
+  return ConjunctionProb(model, target, given) / given_prob;
 }
 
 }  // namespace ppref::infer

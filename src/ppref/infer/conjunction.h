@@ -15,7 +15,6 @@
 #include "ppref/infer/labeled_rim.h"
 #include "ppref/infer/labeling.h"
 #include "ppref/infer/pattern.h"
-#include "ppref/infer/top_prob.h"
 
 namespace ppref::infer {
 
@@ -36,15 +35,13 @@ PatternInstance Conjoin(const PatternInstance& a, const PatternInstance& b);
 /// labelings must cover exactly `model`'s items; `model`'s own labeling is
 /// ignored (the instances carry theirs).
 double ConjunctionProb(const rim::RimModel& model, const PatternInstance& a,
-                       const PatternInstance& b,
-                       const PatternProbOptions& options = {});
+                       const PatternInstance& b);
 
 /// Pr(`target` matches | `given` matches) = Pr(target ∧ given)/Pr(given).
 /// Returns 0 when the conditioning event has probability 0.
 double ConditionalPatternProb(const rim::RimModel& model,
                               const PatternInstance& target,
-                              const PatternInstance& given,
-                              const PatternProbOptions& options = {});
+                              const PatternInstance& given);
 
 }  // namespace ppref::infer
 

@@ -211,6 +211,9 @@ template <class Ops>
 bool DpPlan::RunCoreImpl(const Matching& gamma, Scratch& scratch,
                          const RunControl* control, Ops& ops) const {
   PPREF_CHECK(gamma.size() == k_);
+  // One poll per run, so a request of many short runs (each under the
+  // StopCheck stride) still stops between them.
+  if (control != nullptr) control->Check();
   // Accumulates locally, publishes once on scope exit (including unwinds).
   ScopedDpAccounting accounting;
   if (!acyclic_) return false;

@@ -17,8 +17,8 @@
 /// sequences — k δ-slots followed by `tracked` α-slots then β-slots, with
 /// 0xFFFF meaning "label not seen yet" — stored contiguously inside the
 /// map's arena, so the scan loop performs no per-state heap allocation.
-/// A `Scratch` may be used by one thread at a time; matching-level
-/// parallelism gives each worker its own Scratch against one shared plan.
+/// A `Scratch` may be used by one thread at a time; a plan is immutable, so
+/// concurrent runs against one plan each bring their own Scratch.
 ///
 /// Not part of the public API; include top_prob.h / top_prob_minmax.h
 /// instead.
@@ -81,9 +81,10 @@ class DpPlan {
   /// p_γ (or p_{γ,φ} with a condition): probability that `gamma` is the top
   /// matching, restricted to rankings whose realized (α, β) over the
   /// tracked labels satisfy `condition` when one is given. Returns 0 for
-  /// infeasible γ. A non-null `control` is polled inside the scan (amortized
-  /// via StopCheck) and may abort the run by throwing DeadlineExceededError
-  /// / CancelledError; the scratch stays reusable after such an unwind.
+  /// infeasible γ. A non-null `control` is polled on entry and inside the
+  /// scan (amortized via StopCheck) and may abort the run by throwing
+  /// DeadlineExceededError / CancelledError; the scratch stays reusable
+  /// after such an unwind.
   double TopProb(const Matching& gamma, const MinMaxCondition* condition,
                  Scratch& scratch, const RunControl* control = nullptr) const;
 

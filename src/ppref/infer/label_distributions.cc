@@ -1,10 +1,6 @@
 #include "ppref/infer/label_distributions.h"
 
-#include <algorithm>
-#include <optional>
-
 #include "ppref/common/check.h"
-#include "ppref/common/parallel.h"
 #include "ppref/infer/internal/dp_engine.h"
 #include "ppref/infer/internal/dp_plan.h"
 
@@ -35,15 +31,6 @@ LabelPositionDistributions EmptyDistributions(unsigned m) {
   return result;
 }
 
-/// One aggregated (α, β) outcome of a DP run; the parallel path records
-/// these per γ and replays them in enumeration order, producing the exact
-/// accumulation sequence of the serial path.
-struct Outcome {
-  std::optional<unsigned> alpha;
-  std::optional<unsigned> beta;
-  double prob;
-};
-
 }  // namespace
 
 LabelPositionDistributions LabelPositions(const LabeledRimModel& model,
@@ -60,59 +47,21 @@ LabelPositionDistributions LabelPositions(const LabeledRimModel& model,
 LabelPositionDistributions PatternLabelPositions(const LabeledRimModel& model,
                                                  const LabelPattern& pattern,
                                                  LabelId label) {
-  return PatternLabelPositions(model, pattern, label, PatternProbOptions{});
-}
-
-LabelPositionDistributions PatternLabelPositions(
-    const LabeledRimModel& model, const LabelPattern& pattern, LabelId label,
-    const PatternProbOptions& options) {
   LabelPositionDistributions result = EmptyDistributions(model.size());
   const internal::DpPlan plan(model, pattern, {label});
   const auto accumulate = [&result](const MinMaxValues& values, double prob) {
     Accumulate(values, prob, result);
   };
+  internal::DpPlan::Scratch scratch;
   if (pattern.NodeCount() == 0) {
-    internal::DpPlan::Scratch scratch;
     plan.Distribution(/*gamma=*/{}, accumulate, scratch);
     return result;
   }
   // Candidate top matchings partition the pattern-matching rankings
   // (Lemma 5.3), so their distributions add up.
-  const unsigned threads = ClampThreads(options.threads);
-  if (threads <= 1) {
-    internal::DpPlan::Scratch scratch;
-    internal::ForEachCandidate(
-        model, pattern,
-        [&](const Matching& gamma) {
-          plan.Distribution(gamma, accumulate, scratch);
-        },
-        options.prune_candidates);
-    return result;
-  }
-  const std::vector<Matching> candidates = internal::EnumerateCandidates(
-      model, pattern, options.prune_candidates);
-  std::vector<std::vector<Outcome>> outcomes(candidates.size());
-  std::vector<internal::DpPlan::Scratch> scratches(
-      std::max<std::size_t>(1, std::min<std::size_t>(threads,
-                                                     candidates.size())));
-  ParallelForWorkers(
-      candidates.size(), threads, [&](unsigned worker, std::size_t i) {
-        plan.Distribution(
-            candidates[i],
-            [&](const MinMaxValues& values, double prob) {
-              outcomes[i].push_back(Outcome{values.min_position[0],
-                                            values.max_position[0], prob});
-            },
-            scratches[worker]);
-      });
-  for (const std::vector<Outcome>& per_gamma : outcomes) {
-    for (const Outcome& outcome : per_gamma) {
-      MinMaxValues values;
-      values.min_position = {outcome.alpha};
-      values.max_position = {outcome.beta};
-      Accumulate(values, outcome.prob, result);
-    }
-  }
+  internal::ForEachCandidate(model, pattern, [&](const Matching& gamma) {
+    plan.Distribution(gamma, accumulate, scratch);
+  });
   return result;
 }
 

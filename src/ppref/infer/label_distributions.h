@@ -13,7 +13,6 @@
 
 #include "ppref/infer/labeled_rim.h"
 #include "ppref/infer/pattern.h"
-#include "ppref/infer/top_prob.h"
 
 namespace ppref::infer {
 
@@ -40,13 +39,6 @@ LabelPositionDistributions LabelPositions(const LabeledRimModel& model,
 LabelPositionDistributions PatternLabelPositions(const LabeledRimModel& model,
                                                  const LabelPattern& pattern,
                                                  LabelId label);
-
-/// PatternLabelPositions with explicit options: `options.threads` runs the
-/// per-candidate-γ DPs on worker threads and merges their contributions in
-/// enumeration order, so the result is bit-identical to the serial path.
-LabelPositionDistributions PatternLabelPositions(
-    const LabeledRimModel& model, const LabelPattern& pattern, LabelId label,
-    const PatternProbOptions& options);
 
 }  // namespace ppref::infer
 

@@ -1,7 +1,8 @@
 #include "ppref/infer/marginals.h"
 
+#include <algorithm>
+
 #include "ppref/common/check.h"
-#include "ppref/common/parallel.h"
 
 namespace ppref::infer {
 namespace {
@@ -54,22 +55,15 @@ double PairwiseMarginal(const rim::RimModel& model, rim::ItemId a,
 
 std::vector<std::vector<double>> PairwiseMarginalMatrix(
     const rim::RimModel& model) {
-  return PairwiseMarginalMatrix(model, /*threads=*/1);
-}
-
-std::vector<std::vector<double>> PairwiseMarginalMatrix(
-    const rim::RimModel& model, unsigned threads) {
   const unsigned m = model.size();
   std::vector<std::vector<double>> matrix(m, std::vector<double>(m, 0.0));
-  // Row a fills the upper-triangle cells (a, b > a) and mirrors them; rows
-  // touch disjoint cells, so they fan out without synchronization.
-  // ClampThreads: 0 = auto, matching every other threads knob.
-  ParallelFor(m, ClampThreads(threads), [&](std::size_t a) {
-    for (rim::ItemId b = static_cast<rim::ItemId>(a) + 1; b < m; ++b) {
-      matrix[a][b] = PairwiseMarginal(model, static_cast<rim::ItemId>(a), b);
+  // Row a fills the upper-triangle cells (a, b > a) and mirrors them.
+  for (rim::ItemId a = 0; a < m; ++a) {
+    for (rim::ItemId b = a + 1; b < m; ++b) {
+      matrix[a][b] = PairwiseMarginal(model, a, b);
       matrix[b][a] = 1.0 - matrix[a][b];
     }
-  });
+  }
   return matrix;
 }
 

@@ -27,12 +27,6 @@ double PairwiseMarginal(const rim::RimModel& model, rim::ItemId a,
 std::vector<std::vector<double>> PairwiseMarginalMatrix(
     const rim::RimModel& model);
 
-/// PairwiseMarginalMatrix with the rows computed on `threads` workers. Each
-/// cell is an independent DP, so any thread count yields a bit-identical
-/// matrix.
-std::vector<std::vector<double>> PairwiseMarginalMatrix(
-    const rim::RimModel& model, unsigned threads);
-
 /// Distribution of the final position of `item`: result[p] = Pr(position p).
 /// O(m²) dynamic program over the item's position as later items insert.
 std::vector<double> PositionDistribution(const rim::RimModel& model,

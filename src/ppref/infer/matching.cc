@@ -106,4 +106,13 @@ std::vector<Matching> AllMatchings(const LabelPattern& pattern,
   return out;
 }
 
+std::optional<LabelId> AbsentLabel(const LabelPattern& pattern,
+                                   const ItemLabeling& labeling) {
+  for (unsigned node = 0; node < pattern.NodeCount(); ++node) {
+    const LabelId label = pattern.NodeLabel(node);
+    if (labeling.ItemsWith(label).empty()) return label;
+  }
+  return std::nullopt;
+}
+
 }  // namespace ppref::infer

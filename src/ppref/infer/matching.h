@@ -41,6 +41,11 @@ std::optional<Matching> TopMatching(const LabelPattern& pattern,
                                     const ItemLabeling& labeling,
                                     const rim::Ranking& ranking);
 
+/// The first node label of `pattern` that no item carries, or nullopt. A
+/// pattern with such a label matches no ranking.
+std::optional<LabelId> AbsentLabel(const LabelPattern& pattern,
+                                   const ItemLabeling& labeling);
+
 /// Exhaustive enumeration of Γ(g, τ): all matchings, in lexicographic node
 /// assignment order. Exponential in |nodes(g)|; test/benchmark oracle only.
 std::vector<Matching> AllMatchings(const LabelPattern& pattern,

@@ -13,8 +13,8 @@ namespace ppref::infer {
 namespace {
 
 /// Samples per seeding block of the McOptions entry points. Fixed so the
-/// block decomposition (and therefore every estimate) is independent of the
-/// thread count; large enough that per-block Rng setup is noise.
+/// block decomposition (and therefore every estimate) depends only on the
+/// sample budget; large enough that per-block Rng setup is noise.
 constexpr unsigned kMcBlockSamples = 1024;
 
 McEstimate FromBernoulliCount(unsigned hits, unsigned samples) {
@@ -28,16 +28,14 @@ McEstimate FromBernoulliCount(unsigned hits, unsigned samples) {
 
 /// Runs `block_hits(rng, begin, end)` over the fixed block decomposition of
 /// `options.samples` draws and returns the summed hit count — the shared
-/// seeded-block core (hard/sampler.h), which fans blocks over
-/// ClampThreads(options.threads) workers with per-block generators seeded
-/// from (options.seed, block index) and reduces in block order, so the
-/// total is thread-count independent.
+/// seeded-block core (hard/sampler.h), run serially here with per-block
+/// generators seeded from (options.seed, block index).
 unsigned BlockedHits(
     const McOptions& options,
     const std::function<unsigned(Rng&, unsigned, unsigned)>& block_hits) {
   PPREF_CHECK(options.samples > 0);
   return hard::SeededBlockHits(options.samples, kMcBlockSamples, options.seed,
-                               options.threads, options.control, block_hits);
+                               /*threads=*/1, options.control, block_hits);
 }
 
 }  // namespace
@@ -115,11 +113,11 @@ McTopMatching TopMatchingMonteCarlo(const LabeledRimModel& model,
       hard::SeededBlockCount(options.samples, kMcBlockSamples);
   // Per-block histograms over realized top matchings, merged in block order.
   // std::map keys are ordered, so the modal pick (ties to the smallest γ)
-  // is deterministic in (seed, samples) and thread-count independent.
+  // is deterministic in (seed, samples).
   std::vector<std::map<Matching, unsigned>> histograms(blocks);
   hard::RunSeededBlocks(
       0, blocks, options.samples, kMcBlockSamples, options.seed,
-      options.threads, options.control,
+      /*threads=*/1, options.control,
       [&](const hard::SampleBlock& block, Rng& rng) {
         for (unsigned s = block.begin; s < block.end; ++s) {
           const rim::Ranking tau = rim::SampleRanking(model.model(), rng);

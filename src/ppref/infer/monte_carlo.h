@@ -28,14 +28,11 @@ struct McEstimate {
 /// Options for the seeded Monte-Carlo entry points. Sampling is split into
 /// fixed blocks of ~1k draws; block b uses an independent generator seeded
 /// `HashCombine(seed, b)` and blocks are reduced in index order, so the
-/// estimate depends only on `seed` and `samples` — never on the thread
-/// count. That determinism is what lets the serve layer's degradation path
-/// promise "repeat the request, get the same approximate answer".
+/// estimate depends only on `seed` and `samples`. That determinism is what
+/// lets the serve layer's degradation path promise "repeat the request, get
+/// the same approximate answer".
 struct McOptions {
   unsigned samples = 10000;
-  /// Worker threads over sample blocks. 0 = auto (every hardware thread);
-  /// clamped via ppref::ClampThreads, same contract as PatternProbOptions.
-  unsigned threads = 1;
   std::uint64_t seed = 1;
   /// Optional stop conditions, polled between sample blocks; stopping
   /// throws DeadlineExceededError / CancelledError.
@@ -47,8 +44,8 @@ McEstimate PatternProbMonteCarlo(const LabeledRimModel& model,
                                  const LabelPattern& pattern, unsigned samples,
                                  Rng& rng);
 
-/// Seeded, optionally parallel estimate of Pr(g | σ, Π, λ); identical for
-/// every `options.threads` value (see McOptions).
+/// Seeded estimate of Pr(g | σ, Π, λ); a pure function of the model,
+/// pattern, `options.seed` and `options.samples` (see McOptions).
 McEstimate PatternProbMonteCarlo(const LabeledRimModel& model,
                                  const LabelPattern& pattern,
                                  const McOptions& options);
@@ -60,7 +57,7 @@ McEstimate PatternMinMaxProbMonteCarlo(const LabeledRimModel& model,
                                        const MinMaxCondition& condition,
                                        unsigned samples, Rng& rng);
 
-/// Seeded, optionally parallel estimate of Pr(g ∧ φ).
+/// Seeded estimate of Pr(g ∧ φ).
 McEstimate PatternMinMaxProbMonteCarlo(const LabeledRimModel& model,
                                        const LabelPattern& pattern,
                                        const std::vector<LabelId>& tracked,

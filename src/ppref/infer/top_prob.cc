@@ -1,34 +1,9 @@
 #include "ppref/infer/top_prob.h"
 
-#include <algorithm>
-
-#include "ppref/common/parallel.h"
 #include "ppref/infer/internal/dp_engine.h"
 #include "ppref/infer/internal/dp_plan.h"
 
 namespace ppref::infer {
-namespace {
-
-/// Runs `plan` once per candidate γ on `threads` workers and returns the
-/// per-γ probabilities in enumeration order. Reducing that vector in order
-/// makes every consumer bit-identical to its serial path.
-std::vector<double> CandidateProbs(const internal::DpPlan& plan,
-                                   const std::vector<Matching>& candidates,
-                                   unsigned threads,
-                                   const RunControl* control) {
-  std::vector<double> probs(candidates.size(), 0.0);
-  std::vector<internal::DpPlan::Scratch> scratches(
-      std::max<std::size_t>(1, std::min<std::size_t>(threads,
-                                                     candidates.size())));
-  ParallelForWorkers(candidates.size(), threads, control,
-                     [&](unsigned worker, std::size_t i) {
-                       probs[i] = plan.TopProb(candidates[i], nullptr,
-                                               scratches[worker], control);
-                     });
-  return probs;
-}
-
-}  // namespace
 
 double TopMatchingProb(const LabeledRimModel& model, const LabelPattern& pattern,
                        const Matching& gamma) {
@@ -57,40 +32,24 @@ double PatternProbWithPlan(const internal::DpPlan& plan,
   const LabeledRimModel& model = plan.model();
   const LabelPattern& pattern = plan.pattern();
   if (pattern.NodeCount() == 0) return 1.0;
-  const unsigned threads = ClampThreads(options.threads);
-  if (threads <= 1) {
-    // Serial path: stream candidates, one plan + one scratch for all γ.
-    internal::DpPlan::Scratch scratch;
-    double total = 0.0;
-    internal::ForEachCandidate(
-        model, pattern,
-        [&](const Matching& gamma) {
-          total += plan.TopProb(gamma, /*condition=*/nullptr, scratch,
-                                options.control);
-        },
-        options.prune_candidates);
-    return total;
-  }
-  const std::vector<Matching> candidates = internal::EnumerateCandidates(
-      model, pattern, options.prune_candidates);
-  const std::vector<double> probs =
-      CandidateProbs(plan, candidates, threads, options.control);
+  // Stream candidates, one plan + one scratch for all γ.
+  internal::DpPlan::Scratch scratch;
   double total = 0.0;
-  for (double prob : probs) total += prob;
+  internal::ForEachCandidate(
+      model, pattern,
+      [&](const Matching& gamma) {
+        total += plan.TopProb(gamma, /*condition=*/nullptr, scratch,
+                              options.control);
+      },
+      options.prune_candidates);
   return total;
 }
 
 std::optional<std::pair<Matching, double>> MostProbableTopMatching(
     const LabeledRimModel& model, const LabelPattern& pattern) {
-  return MostProbableTopMatching(model, pattern, PatternProbOptions{});
-}
-
-std::optional<std::pair<Matching, double>> MostProbableTopMatching(
-    const LabeledRimModel& model, const LabelPattern& pattern,
-    const PatternProbOptions& options) {
   if (pattern.NodeCount() == 0) return std::make_pair(Matching{}, 1.0);
   const internal::DpPlan plan(model, pattern, /*tracked=*/{});
-  return MostProbableTopMatchingWithPlan(plan, options);
+  return MostProbableTopMatchingWithPlan(plan);
 }
 
 std::optional<std::pair<Matching, double>> MostProbableTopMatchingWithPlan(
@@ -98,28 +57,15 @@ std::optional<std::pair<Matching, double>> MostProbableTopMatchingWithPlan(
   const LabeledRimModel& model = plan.model();
   const LabelPattern& pattern = plan.pattern();
   if (pattern.NodeCount() == 0) return std::make_pair(Matching{}, 1.0);
-  const unsigned threads = ClampThreads(options.threads);
   std::optional<std::pair<Matching, double>> best;
-  if (threads <= 1) {
-    internal::DpPlan::Scratch scratch;
-    internal::ForEachCandidate(model, pattern, [&](const Matching& gamma) {
-      const double prob = plan.TopProb(gamma, /*condition=*/nullptr, scratch,
-                                       options.control);
-      if (prob > 0.0 && (!best.has_value() || prob > best->second)) {
-        best = std::make_pair(gamma, prob);
-      }
-    });
-    return best;
-  }
-  const std::vector<Matching> candidates =
-      internal::EnumerateCandidates(model, pattern);
-  const std::vector<double> probs =
-      CandidateProbs(plan, candidates, threads, options.control);
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    if (probs[i] > 0.0 && (!best.has_value() || probs[i] > best->second)) {
-      best = std::make_pair(candidates[i], probs[i]);
+  internal::DpPlan::Scratch scratch;
+  internal::ForEachCandidate(model, pattern, [&](const Matching& gamma) {
+    const double prob = plan.TopProb(gamma, /*condition=*/nullptr, scratch,
+                                     options.control);
+    if (prob > 0.0 && (!best.has_value() || prob > best->second)) {
+      best = std::make_pair(gamma, prob);
     }
-  }
+  });
   return best;
 }
 

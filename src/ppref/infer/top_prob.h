@@ -55,16 +55,9 @@ struct PatternProbOptions {
   /// Skip candidate γ mapping two path-connected nodes to one item (their
   /// p_γ is provably 0). Disabled only by the ablation benchmark.
   bool prune_candidates = true;
-  /// Matching-level parallelism: fan the candidate γ out over worker
-  /// threads, each with its own DP scratch against one shared plan.
-  /// Contract: `threads == 0` means "auto" — use every hardware thread;
-  /// any other value is clamped to `std::thread::hardware_concurrency()`
-  /// (see ppref::ClampThreads). An effective count <= 1 runs serially.
-  /// Per-γ results are reduced in enumeration order, so every thread count
-  /// yields a bit-identical result to the serial path.
-  unsigned threads = 1;
   /// Optional stop conditions (deadline / cancellation), borrowed. When
-  /// non-null, the DP polls it periodically and aborts by throwing
+  /// non-null, the DP polls it at the start of every candidate's run and
+  /// periodically inside it, and aborts by throwing
   /// DeadlineExceededError / CancelledError — partial results are
   /// discarded, never returned. nullptr (the default) runs to completion
   /// with zero polling cost.
@@ -85,14 +78,9 @@ double PatternProb(const LabeledRimModel& model, const LabelPattern& pattern,
 /// most likely realize the pattern". Returns nullopt when no candidate has
 /// positive probability (absent labels, cyclic pattern); the empty pattern
 /// yields the empty matching with probability 1. Ties resolve to the first
-/// candidate in enumeration order regardless of `options.threads`.
+/// candidate in enumeration order.
 std::optional<std::pair<Matching, double>> MostProbableTopMatching(
     const LabeledRimModel& model, const LabelPattern& pattern);
-
-/// MostProbableTopMatching with explicit options.
-std::optional<std::pair<Matching, double>> MostProbableTopMatching(
-    const LabeledRimModel& model, const LabelPattern& pattern,
-    const PatternProbOptions& options);
 
 /// PatternProb executed against a caller-supplied compiled plan — the
 /// plan-injection entry point the serve layer's plan cache uses to amortize
@@ -104,7 +92,7 @@ double PatternProbWithPlan(const internal::DpPlan& plan,
                            const PatternProbOptions& options = {});
 
 /// MostProbableTopMatching executed against a caller-supplied compiled plan.
-/// Same tie-breaking and determinism guarantees as the plain overloads.
+/// Same tie-breaking as the plain overload.
 std::optional<std::pair<Matching, double>> MostProbableTopMatchingWithPlan(
     const internal::DpPlan& plan, const PatternProbOptions& options = {});
 

@@ -1,9 +1,6 @@
 #include "ppref/infer/top_prob_minmax.h"
 
-#include <algorithm>
-
 #include "ppref/common/check.h"
-#include "ppref/common/parallel.h"
 #include "ppref/infer/internal/dp_engine.h"
 #include "ppref/infer/internal/dp_plan.h"
 
@@ -21,18 +18,9 @@ double PatternMinMaxProb(const LabeledRimModel& model,
                          const LabelPattern& pattern,
                          const std::vector<LabelId>& tracked,
                          const MinMaxCondition& condition) {
-  return PatternMinMaxProb(model, pattern, tracked, condition,
-                           PatternProbOptions{});
-}
-
-double PatternMinMaxProb(const LabeledRimModel& model,
-                         const LabelPattern& pattern,
-                         const std::vector<LabelId>& tracked,
-                         const MinMaxCondition& condition,
-                         const PatternProbOptions& options) {
   PPREF_CHECK(condition != nullptr);
   const internal::DpPlan plan(model, pattern, tracked);
-  return PatternMinMaxProbWithPlan(plan, condition, options);
+  return PatternMinMaxProbWithPlan(plan, condition);
 }
 
 double PatternMinMaxProbWithPlan(const internal::DpPlan& plan,
@@ -41,37 +29,17 @@ double PatternMinMaxProbWithPlan(const internal::DpPlan& plan,
   PPREF_CHECK(condition != nullptr);
   const LabeledRimModel& model = plan.model();
   const LabelPattern& pattern = plan.pattern();
+  internal::DpPlan::Scratch scratch;
   if (pattern.NodeCount() == 0) {
-    internal::DpPlan::Scratch scratch;
     return plan.TopProb(/*gamma=*/{}, &condition, scratch, options.control);
   }
-  const unsigned threads = ClampThreads(options.threads);
-  if (threads <= 1) {
-    internal::DpPlan::Scratch scratch;
-    double total = 0.0;
-    internal::ForEachCandidate(
-        model, pattern,
-        [&](const Matching& gamma) {
-          total += plan.TopProb(gamma, &condition, scratch, options.control);
-        },
-        options.prune_candidates);
-    return total;
-  }
-  const std::vector<Matching> candidates = internal::EnumerateCandidates(
-      model, pattern, options.prune_candidates);
-  std::vector<double> probs(candidates.size(), 0.0);
-  std::vector<internal::DpPlan::Scratch> scratches(
-      std::max<std::size_t>(1, std::min<std::size_t>(threads,
-                                                     candidates.size())));
-  ParallelForWorkers(candidates.size(), threads, options.control,
-                     [&](unsigned worker, std::size_t i) {
-                       probs[i] = plan.TopProb(candidates[i], &condition,
-                                               scratches[worker],
-                                               options.control);
-                     });
-  // Reduce in enumeration order: bit-identical to the serial path.
   double total = 0.0;
-  for (double prob : probs) total += prob;
+  internal::ForEachCandidate(
+      model, pattern,
+      [&](const Matching& gamma) {
+        total += plan.TopProb(gamma, &condition, scratch, options.control);
+      },
+      options.prune_candidates);
   return total;
 }
 

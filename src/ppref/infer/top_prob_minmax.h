@@ -39,15 +39,6 @@ double PatternMinMaxProb(const LabeledRimModel& model,
                          const std::vector<LabelId>& tracked,
                          const MinMaxCondition& condition);
 
-/// PatternMinMaxProb with explicit options (`options.threads` fans the
-/// candidate γ out with an ordered, bit-identical reduction; the condition
-/// must be safe to invoke concurrently).
-double PatternMinMaxProb(const LabeledRimModel& model,
-                         const LabelPattern& pattern,
-                         const std::vector<LabelId>& tracked,
-                         const MinMaxCondition& condition,
-                         const PatternProbOptions& options);
-
 /// Pure min/max query: Pr(φ) with no pattern constraint (empty pattern).
 double MinMaxProb(const LabeledRimModel& model,
                   const std::vector<LabelId>& tracked,

@@ -1,9 +1,9 @@
 #include "ppref/ppd/evaluator.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "ppref/common/check.h"
-#include "ppref/common/parallel.h"
 #include "ppref/obs/metrics.h"
 #include "ppref/ppd/reduction.h"
 #include "ppref/query/classify.h"
@@ -13,7 +13,7 @@ namespace ppref::ppd {
 namespace {
 
 /// Process-wide count of Boolean CQ evaluations, across all entry points
-/// (serial, parallel, and server-batched).
+/// (serial and server-batched).
 void CountBooleanQuery() {
   static obs::Counter& queries = obs::MetricsRegistry::Default().GetCounter(
       "ppref_ppd_boolean_queries_total",
@@ -24,11 +24,6 @@ void CountBooleanQuery() {
 }  // namespace
 
 double EvaluateBoolean(const RimPpd& ppd, const query::ConjunctiveQuery& query) {
-  return EvaluateBoolean(ppd, query, infer::PatternProbOptions{});
-}
-
-double EvaluateBoolean(const RimPpd& ppd, const query::ConjunctiveQuery& query,
-                       const infer::PatternProbOptions& options) {
   if (!query.IsBoolean()) {
     throw SchemaError("EvaluateBoolean expects a Boolean query");
   }
@@ -38,49 +33,26 @@ double EvaluateBoolean(const RimPpd& ppd, const query::ConjunctiveQuery& query,
   }
   double none_matches = 1.0;
   for (const SessionReduction& reduction : ReduceItemwise(ppd, query)) {
-    none_matches *= 1.0 - SessionProb(reduction, options);
+    none_matches *= 1.0 - SessionProb(reduction);
   }
   return 1.0 - none_matches;
 }
 
 double EvaluateBoolean(const RimPpd& ppd, const query::ConjunctiveQuery& query,
                        serve::Server& server) {
-  if (!query.IsBoolean()) {
-    throw SchemaError("EvaluateBoolean expects a Boolean query");
+  const StatusOr<BooleanResult> result =
+      TryEvaluateBoolean(ppd, query, server);
+  if (!result.ok()) {
+    if (result.status().code() == StatusCode::kInvalidArgument) {
+      throw SchemaError(result.status().message());
+    }
+    throw std::runtime_error(result.status().ToString());
   }
-  CountBooleanQuery();
-  if (query.PAtoms().empty()) {
-    return query::IsSatisfiable(query, ppd.ODatabase()) ? 1.0 : 0.0;
+  if (result->approximate) {
+    throw std::runtime_error(
+        "EvaluateBoolean: a session was answered approximately");
   }
-  const std::vector<SessionReduction> reductions = ReduceItemwise(ppd, query);
-  // Sessions with a trivially-zero probability never reach the server;
-  // the rest go out as one deduplicated batch. The labeled models must
-  // stay alive until the batch returns, hence the reserve (no relocation
-  // under the borrowed pointers).
-  std::vector<infer::LabeledRimModel> models;
-  models.reserve(reductions.size());
-  std::vector<serve::Request> batch;
-  std::vector<std::size_t> reduction_of;  // batch index -> reduction index
-  for (std::size_t i = 0; i < reductions.size(); ++i) {
-    const SessionReduction& reduction = reductions[i];
-    if (!reduction.satisfiable || reduction.reflexive_preference) continue;
-    models.emplace_back(reduction.model->model(), reduction.labeling);
-    serve::Request request;
-    request.kind = serve::Request::Kind::kPatternProb;
-    request.model = &models.back();
-    request.pattern = &reduction.pattern;
-    batch.push_back(request);
-    reduction_of.push_back(i);
-  }
-  const std::vector<serve::Response> responses = server.EvaluateBatch(batch);
-  // Combine in session order so the float result matches the serial path.
-  std::vector<double> session_probs(reductions.size(), 0.0);
-  for (std::size_t b = 0; b < responses.size(); ++b) {
-    session_probs[reduction_of[b]] = responses[b].probability;
-  }
-  double none_matches = 1.0;
-  for (double prob : session_probs) none_matches *= 1.0 - prob;
-  return 1.0 - none_matches;
+  return result->confidence;
 }
 
 StatusOr<BooleanResult> TryEvaluateBoolean(const RimPpd& ppd,
@@ -103,13 +75,17 @@ StatusOr<BooleanResult> TryEvaluateBoolean(const RimPpd& ppd,
   } catch (const SchemaError& e) {
     return Status::InvalidArgument(e.what());
   }
+  // Sessions that cannot match never reach the server; the rest go out as
+  // one deduplicated batch. The labeled models must stay alive until the
+  // batch returns, hence the reserve (no relocation under the borrowed
+  // pointers).
   std::vector<infer::LabeledRimModel> models;
   models.reserve(reductions.size());
   std::vector<serve::Request> batch;
   std::vector<std::size_t> reduction_of;
   for (std::size_t i = 0; i < reductions.size(); ++i) {
     const SessionReduction& reduction = reductions[i];
-    if (!reduction.satisfiable || reduction.reflexive_preference) continue;
+    if (!CanMatch(reduction)) continue;
     models.emplace_back(reduction.model->model(), reduction.labeling);
     serve::Request request;
     request.kind = serve::Request::Kind::kPatternProb;
@@ -141,29 +117,6 @@ StatusOr<BooleanResult> TryEvaluateBoolean(const RimPpd& ppd,
   for (double prob : session_probs) none_matches *= 1.0 - prob;
   result.confidence = 1.0 - none_matches;
   return result;
-}
-
-double EvaluateBooleanParallel(const RimPpd& ppd,
-                               const query::ConjunctiveQuery& query,
-                               unsigned threads) {
-  if (!query.IsBoolean()) {
-    throw SchemaError("EvaluateBooleanParallel expects a Boolean query");
-  }
-  CountBooleanQuery();
-  if (query.PAtoms().empty()) {
-    return query::IsSatisfiable(query, ppd.ODatabase()) ? 1.0 : 0.0;
-  }
-  const std::vector<SessionReduction> reductions = ReduceItemwise(ppd, query);
-  std::vector<double> session_probs(reductions.size(), 0.0);
-  // ClampThreads so `threads == 0` means auto here too; the raw value used
-  // to fall through to ParallelFor where 0 silently meant "serial".
-  ParallelFor(reductions.size(), ClampThreads(threads), [&](std::size_t i) {
-    session_probs[i] = SessionProb(reductions[i]);
-  });
-  // Combine in session order so the float result matches the serial path.
-  double none_matches = 1.0;
-  for (double prob : session_probs) none_matches *= 1.0 - prob;
-  return 1.0 - none_matches;
 }
 
 db::Database PossibilityDatabase(const RimPpd& ppd) {

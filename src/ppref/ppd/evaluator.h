@@ -15,7 +15,6 @@
 
 #include "ppref/common/status.h"
 #include "ppref/db/database.h"
-#include "ppref/infer/top_prob.h"
 #include "ppref/ppd/ppd.h"
 #include "ppref/query/cq.h"
 #include "ppref/serve/server.h"
@@ -34,19 +33,12 @@ struct Answer {
 /// Monte-Carlo evaluators for those.
 double EvaluateBoolean(const RimPpd& ppd, const query::ConjunctiveQuery& query);
 
-/// EvaluateBoolean with per-session inference options: each session compiles
-/// one DP plan reused across its candidate matchings, and `options.threads`
-/// fans those matchings out (bit-identical ordered reduction).
-double EvaluateBoolean(const RimPpd& ppd, const query::ConjunctiveQuery& query,
-                       const infer::PatternProbOptions& options);
-
-/// EvaluateBoolean routed through a shared serve::Server: the per-session
-/// pattern probabilities are submitted as one deduplicated batch, so
-/// repeated sessions (same model, same pattern) are computed once, plans
-/// and results are reused across *queries* via the server's caches, and
-/// unique work runs on the server's worker pool. Bit-identical to the
-/// serial evaluator (the server's determinism guarantee plus session-order
-/// reduction).
+/// EvaluateBoolean routed through a shared serve::Server: the throwing
+/// form of TryEvaluateBoolean below, bit-identical to the serial evaluator.
+/// kInvalidArgument (a non-Boolean or non-itemwise query) throws
+/// SchemaError, as the serial overload does; any other failure, and an
+/// approximate (degraded) result, throws std::runtime_error carrying the
+/// status — a failed session is never read as 0.
 double EvaluateBoolean(const RimPpd& ppd, const query::ConjunctiveQuery& query,
                        serve::Server& server);
 
@@ -71,18 +63,6 @@ struct BooleanResult {
 StatusOr<BooleanResult> TryEvaluateBoolean(
     const RimPpd& ppd, const query::ConjunctiveQuery& query,
     serve::Server& server, const serve::RequestControl& control = {});
-
-/// EvaluateBoolean with the independent per-session TopProb instances
-/// computed on `threads` workers (§6's CPU-parallelism direction;
-/// `threads == 0` means auto, per ppref::ClampThreads). Work
-/// assignment is static, so the result is bit-identical to the serial
-/// evaluator. Session-level parallelism composes poorly with matching-level
-/// parallelism on small machines, so sessions run their matchings serially
-/// here; prefer the options overload above to parallelize within few large
-/// sessions instead.
-double EvaluateBooleanParallel(const RimPpd& ppd,
-                               const query::ConjunctiveQuery& query,
-                               unsigned threads);
 
 /// Q(E): every possible answer with positive confidence, sorted by
 /// decreasing confidence (ties: first-found order). The query must be

@@ -65,10 +65,10 @@ infer::McEstimate EstimateBoolean(const RimPpd& ppd,
   PPREF_CHECK(options.samples > 0);
   // The shared seeded-block core (hard/sampler.h), at a smaller block size
   // because database worlds are costlier to materialize than rankings. The
-  // estimate stays a function of (seed, samples) only, never thread count.
+  // estimate stays a function of (seed, samples) only.
   constexpr unsigned kBlockSamples = 256;
   const unsigned total = hard::SeededBlockHits(
-      options.samples, kBlockSamples, options.seed, options.threads,
+      options.samples, kBlockSamples, options.seed, /*threads=*/1,
       options.control, [&](Rng& rng, unsigned begin, unsigned end) {
         unsigned h = 0;
         for (unsigned s = begin; s < end; ++s) {

@@ -19,10 +19,9 @@ infer::McEstimate EstimateBoolean(const RimPpd& ppd,
                                   const query::ConjunctiveQuery& query,
                                   unsigned samples, Rng& rng);
 
-/// Seeded, optionally parallel estimate of conf_Q([E]). Worlds are sampled
-/// in fixed blocks seeded from (options.seed, block) and fanned out over
-/// ClampThreads(options.threads) workers (0 = auto), so the estimate is
-/// identical for every thread count — see infer::McOptions.
+/// Seeded estimate of conf_Q([E]). Worlds are sampled in fixed blocks
+/// seeded from (options.seed, block), so the estimate is a pure function of
+/// the query, `options.seed` and `options.samples` — see infer::McOptions.
 infer::McEstimate EstimateBoolean(const RimPpd& ppd,
                                   const query::ConjunctiveQuery& query,
                                   const infer::McOptions& options);

@@ -5,6 +5,7 @@
 
 #include "ppref/common/check.h"
 #include "ppref/infer/labeled_rim.h"
+#include "ppref/infer/matching.h"
 #include "ppref/infer/top_prob.h"
 #include "ppref/obs/metrics.h"
 #include "ppref/query/classify.h"
@@ -229,8 +230,12 @@ std::vector<SessionReduction> ReduceItemwise(const RimPpd& ppd,
   return reductions;
 }
 
-double SessionProb(const SessionReduction& reduction,
-                   const infer::PatternProbOptions& options) {
+bool CanMatch(const SessionReduction& reduction) {
+  return reduction.satisfiable && !reduction.reflexive_preference &&
+         !infer::AbsentLabel(reduction.pattern, reduction.labeling);
+}
+
+double SessionProb(const SessionReduction& reduction) {
   PPREF_CHECK(reduction.model != nullptr);
   // Process-wide PPD workload counters: evaluated sessions, split by the
   // trivial short-circuit vs. the ones that reach the inference engine.
@@ -247,7 +252,7 @@ double SessionProb(const SessionReduction& reduction,
   }
   const infer::LabeledRimModel labeled(reduction.model->model(),
                                        reduction.labeling);
-  return infer::PatternProb(labeled, reduction.pattern, options);
+  return infer::PatternProb(labeled, reduction.pattern);
 }
 
 }  // namespace ppref::ppd

@@ -16,7 +16,6 @@
 
 #include "ppref/infer/labeling.h"
 #include "ppref/infer/pattern.h"
-#include "ppref/infer/top_prob.h"
 #include "ppref/ppd/ppd.h"
 #include "ppref/query/cq.h"
 
@@ -49,12 +48,16 @@ struct SessionReduction {
 std::vector<SessionReduction> ReduceItemwise(const RimPpd& ppd,
                                              const query::ConjunctiveQuery& query);
 
+/// False when Pr(s ⊨ Q^s) is 0 by construction: the session is
+/// unsatisfiable or reflexive, or a pattern label marks no item
+/// (infer::AbsentLabel). The server-routed evaluators submit only sessions
+/// that can match: the serving boundary refuses such a label.
+bool CanMatch(const SessionReduction& reduction);
+
 /// Pr(s ⊨ Q^s) for one reduced session: 0 when unsatisfiable or reflexive,
 /// otherwise Pr(g | σ^s, Π^s, λ) via TopProb. One DP plan is compiled per
-/// session and reused across all of its candidate matchings; `options`
-/// forwards to PatternProb (matching-level parallelism, pruning).
-double SessionProb(const SessionReduction& reduction,
-                   const infer::PatternProbOptions& options = {});
+/// session and reused across all of its candidate matchings.
+double SessionProb(const SessionReduction& reduction);
 
 }  // namespace ppref::ppd
 

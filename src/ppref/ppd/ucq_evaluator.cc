@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <stdexcept>
 
 #include "ppref/common/check.h"
 #include "ppref/infer/conjunction.h"
@@ -23,8 +24,7 @@ struct SessionEvents {
 };
 
 /// Pr(at least one event matches) by inclusion–exclusion over conjunctions.
-double AnyEventProb(const SessionEvents& session,
-                    const infer::PatternProbOptions& options) {
+double AnyEventProb(const SessionEvents& session) {
   const std::size_t t = session.events.size();
   PPREF_CHECK(t > 0);
   PPREF_CHECK_MSG(t <= 20, "inclusion-exclusion over " << t
@@ -42,7 +42,7 @@ double AnyEventProb(const SessionEvents& session,
     }
     const double prob = infer::PatternProb(
         infer::LabeledRimModel(session.model->model(), joint.labeling),
-        joint.pattern, options);
+        joint.pattern);
     const bool odd = __builtin_popcountll(mask) % 2 == 1;
     total += odd ? prob : -prob;
   }
@@ -51,7 +51,8 @@ double AnyEventProb(const SessionEvents& session,
 
 /// AnyEventProb routed through a serve::Server: every inclusion–exclusion
 /// conjunction goes out as one deduplicated batch; the signed reduction
-/// runs in mask order, bit-identical to the serial loop above.
+/// runs in mask order, bit-identical to the serial loop above. Throws on
+/// the first non-OK response.
 double AnyEventProb(const SessionEvents& session, serve::Server& server) {
   const std::size_t t = session.events.size();
   PPREF_CHECK(t > 0);
@@ -85,7 +86,11 @@ double AnyEventProb(const SessionEvents& session, serve::Server& server) {
   const std::vector<serve::Response> responses = server.EvaluateBatch(batch);
   double total = 0.0;
   for (std::size_t mask = 1; mask <= terms; ++mask) {
-    const double prob = responses[mask - 1].probability;
+    const serve::Response& response = responses[mask - 1];
+    if (!response.status.ok()) {
+      throw std::runtime_error(response.status.ToString());
+    }
+    const double prob = response.probability;
     const bool odd = __builtin_popcountll(mask) % 2 == 1;
     total += odd ? prob : -prob;
   }
@@ -110,7 +115,8 @@ double EvaluateBooleanUnionImpl(const RimPpd& ppd, const query::UnionQuery& ucq,
     }
     const std::string symbol = disjunct.PAtoms().front()->symbol;
     for (const SessionReduction& reduction : ReduceItemwise(ppd, disjunct)) {
-      if (!reduction.satisfiable || reduction.reflexive_preference) continue;
+      // A session that cannot match adds only zero terms.
+      if (!CanMatch(reduction)) continue;
       SessionEvents& events = by_session[{symbol, reduction.session}];
       events.model = reduction.model;
       events.events.push_back(
@@ -127,10 +133,9 @@ double EvaluateBooleanUnionImpl(const RimPpd& ppd, const query::UnionQuery& ucq,
 
 }  // namespace
 
-double EvaluateBooleanUnion(const RimPpd& ppd, const query::UnionQuery& ucq,
-                            const infer::PatternProbOptions& options) {
-  return EvaluateBooleanUnionImpl(ppd, ucq, [&](const SessionEvents& events) {
-    return AnyEventProb(events, options);
+double EvaluateBooleanUnion(const RimPpd& ppd, const query::UnionQuery& ucq) {
+  return EvaluateBooleanUnionImpl(ppd, ucq, [](const SessionEvents& events) {
+    return AnyEventProb(events);
   });
 }
 

@@ -23,17 +23,17 @@ namespace ppref::ppd {
 
 /// conf_Q([E]) for a Boolean UCQ. Disjuncts without p-atoms evaluate
 /// deterministically (a true one short-circuits to 1). Throws SchemaError
-/// when some p-atom-bearing disjunct is not itemwise. `options` forwards to
-/// every inclusion–exclusion PatternProb call (plan reuse, matching-level
-/// parallelism).
-double EvaluateBooleanUnion(const RimPpd& ppd, const query::UnionQuery& ucq,
-                            const infer::PatternProbOptions& options = {});
+/// when some p-atom-bearing disjunct is not itemwise.
+double EvaluateBooleanUnion(const RimPpd& ppd, const query::UnionQuery& ucq);
 
 /// EvaluateBooleanUnion routed through a shared serve::Server: each
 /// session's 2^t - 1 inclusion–exclusion conjunctions are submitted as one
 /// deduplicated batch and the signed sum is reduced in mask order, so the
 /// result is bit-identical to the serial path while repeated conjunction
 /// events (across sessions and across queries) hit the server's caches.
+/// Never reads a failed conjunction as 0: the first non-OK response (shed,
+/// stopped, refused, or degraded) throws std::runtime_error carrying its
+/// status.
 double EvaluateBooleanUnion(const RimPpd& ppd, const query::UnionQuery& ucq,
                             serve::Server& server);
 

@@ -18,7 +18,6 @@
 #include "ppref/infer/matching.h"
 #include "ppref/infer/monte_carlo.h"
 #include "ppref/infer/top_prob.h"
-#include "ppref/infer/top_prob_minmax.h"
 #include "ppref/obs/export.h"
 #include "ppref/rim/sampler.h"
 #include "ppref/serve/fingerprint.h"
@@ -36,7 +35,6 @@ namespace {
 enum : std::uint64_t {
   kKeyPatternProb = 0x5051ull,
   kKeyTopMatching = 0x5052ull,
-  kKeyMinMax = 0x5053ull,
   kKeyMcSeed = 0x5054ull,
   kKeySweep = 0x5055ull,
   kKeyHard = 0x5056ull,
@@ -84,9 +82,8 @@ struct Server::CachedPlan {
   infer::internal::DpPlan plan;
 
   CachedPlan(const infer::LabeledRimModel& model_in,
-             const infer::LabelPattern& pattern_in,
-             const std::vector<infer::LabelId>& tracked)
-      : model(model_in), pattern(pattern_in), plan(model, pattern, tracked) {}
+             const infer::LabelPattern& pattern_in)
+      : model(model_in), pattern(pattern_in), plan(model, pattern, {}) {}
 
   CachedPlan(const CachedPlan&) = delete;
   CachedPlan& operator=(const CachedPlan&) = delete;
@@ -478,13 +475,9 @@ Status Server::Validate(const infer::LabeledRimModel* model,
   // handles it (probability 0), but at the serving boundary it is far more
   // likely a malformed request than a deliberate query, so refuse it with a
   // diagnostic instead of silently answering 0.
-  const infer::ItemLabeling& labeling = model->labeling();
-  for (unsigned node = 0; node < pattern->NodeCount(); ++node) {
-    const infer::LabelId label = pattern->NodeLabel(node);
-    if (labeling.ItemsWith(label).empty()) {
-      return Status::InvalidArgument("pattern label " + std::to_string(label) +
-                                     " matches no item of the model");
-    }
+  if (const auto label = infer::AbsentLabel(*pattern, model->labeling())) {
+    return Status::InvalidArgument("pattern label " + std::to_string(*label) +
+                                   " matches no item of the model");
   }
   return Status::Ok();
 }
@@ -559,9 +552,9 @@ StatusOr<T> Server::Guarded(const RequestControl& control, const Check& check,
   return *std::move(answer);
 }
 
-std::size_t Server::TryAdmit(std::size_t want, bool bounded) {
+std::size_t Server::TryAdmit(std::size_t want) {
   std::size_t granted = want;
-  if (!bounded || options_.max_in_flight == 0) {
+  if (options_.max_in_flight == 0) {
     in_flight_.fetch_add(want, std::memory_order_relaxed);
   } else {
     // CAS loop: claim as many of `want` slots as fit under the limit.
@@ -650,8 +643,8 @@ void Server::StoreResult(std::uint64_t result_key, const CachedResult& result) {
 
 std::shared_ptr<const Server::CachedPlan> Server::PlanFor(
     const infer::LabeledRimModel& model, const infer::LabelPattern& pattern,
-    const std::vector<infer::LabelId>& tracked, std::uint64_t plan_key,
-    const RunControl* control, obs::TraceRecord* trace) {
+    std::uint64_t plan_key, const RunControl* control,
+    obs::TraceRecord* trace) {
   const auto compile = [&]() -> std::shared_ptr<const CachedPlan> {
     PPREF_FAULT_PLAN_COMPILE();
     if (control != nullptr) control->Check();
@@ -659,7 +652,7 @@ std::shared_ptr<const Server::CachedPlan> Server::PlanFor(
     // than the DP or circuit compile that always follows it.
     const obs::TraceSpan span(trace, obs::Stage::kPlanCompile);
     const std::uint64_t start = MonotonicNowNs();
-    auto entry = std::make_shared<const CachedPlan>(model, pattern, tracked);
+    auto entry = std::make_shared<const CachedPlan>(model, pattern);
     const std::uint64_t elapsed = MonotonicNowNs() - start;
     instruments_->compile_ns.Inc(elapsed);
     if (options_.latency_histograms) {
@@ -705,9 +698,8 @@ std::shared_ptr<const Server::CachedCircuit> Server::CircuitFor(
     // Circuits compile *from* plans, so a sweep warms the plan cache for
     // later point queries against the same (model, pattern) — and reuses a
     // plan such queries already compiled.
-    const std::shared_ptr<const CachedPlan> plan =
-        PlanFor(model, pattern, kNoTracked,
-                PlanKey(model, pattern, kNoTracked), control, trace);
+    const std::shared_ptr<const CachedPlan> plan = PlanFor(
+        model, pattern, PlanKey(model, pattern, kNoTracked), control, trace);
     const obs::TraceSpan span(trace, obs::Stage::kCircuitCompile);
     const std::uint64_t start = MonotonicNowNs();
     auto entry = std::make_shared<const CachedCircuit>(
@@ -735,9 +727,8 @@ Server::CachedResult Server::Compute(const Request& request,
                                      std::uint64_t plan_key,
                                      const RunControl* control,
                                      obs::TraceRecord* trace) {
-  // Internal invariant, not input validation: the status entry points have
-  // already validated, and the legacy entry points are documented
-  // trusted-caller paths.
+  // Internal invariant, not input validation: EvaluateBatch has already
+  // validated.
   PPREF_CHECK(request.model != nullptr && request.pattern != nullptr);
   // Fail an already-stopped request before touching the caches: a cached
   // plan plus a small DP could otherwise finish inside the stop window and
@@ -749,8 +740,7 @@ Server::CachedResult Server::Compute(const Request& request,
     // compile done by this thread; the finalize step subtracts the nested
     // plan_compile span, leaving the pure wait-or-lookup time.
     const obs::TraceSpan span(trace, obs::Stage::kCacheWait);
-    plan = PlanFor(*request.model, *request.pattern, kNoTracked, plan_key,
-                   control, trace);
+    plan = PlanFor(*request.model, *request.pattern, plan_key, control, trace);
   }
   infer::PatternProbOptions exec;
   exec.control = control;
@@ -837,7 +827,6 @@ Server::Outcome Server::Degrade(const Request& request,
     } else {
       infer::McOptions mc;
       mc.samples = std::max(1u, options_.degraded_samples);
-      mc.threads = 1;
       mc.seed = HashCombine(result_key, kKeyMcSeed);
       mc.control = control;
       const infer::McTopMatching top =
@@ -885,68 +874,6 @@ Server::Outcome Server::ComputeGuarded(const Request& request,
                    trace);
   }
   return outcome;
-}
-
-std::shared_ptr<const Server::CachedResult> Server::Memoized(
-    const infer::LabeledRimModel& model, const infer::LabelPattern& pattern,
-    Request::Kind kind) {
-  instruments_->requests.Inc();
-  const AdmissionRelease release(*this, TryAdmit(1, /*bounded=*/false));
-  const std::uint64_t plan_key = PlanKey(model, pattern, kNoTracked);
-  const std::uint64_t result_key = ResultKey(plan_key, kind);
-  if (auto hit = LookupResult(result_key)) return hit;
-  Request request;
-  request.kind = kind;
-  request.model = &model;
-  request.pattern = &pattern;
-  std::shared_ptr<const CachedResult> value = result_cache_.Put(
-      result_key,
-      std::make_shared<const CachedResult>(Compute(request, plan_key)));
-  StoreResult(result_key, *value);
-  return value;
-}
-
-double Server::PatternProbability(const infer::LabeledRimModel& model,
-                                  const infer::LabelPattern& pattern) {
-  return Memoized(model, pattern, Request::Kind::kPatternProb)->probability;
-}
-
-std::optional<std::pair<infer::Matching, double>> Server::MostProbableTopMatching(
-    const infer::LabeledRimModel& model, const infer::LabelPattern& pattern) {
-  const std::shared_ptr<const CachedResult> value =
-      Memoized(model, pattern, Request::Kind::kTopMatching);
-  if (!value->top_matching.has_value()) return std::nullopt;
-  return std::make_pair(*value->top_matching, value->probability);
-}
-
-double Server::PatternMinMaxProbability(
-    const infer::LabeledRimModel& model, const infer::LabelPattern& pattern,
-    const std::vector<infer::LabelId>& tracked,
-    const infer::MinMaxCondition& condition,
-    std::uint64_t condition_fingerprint) {
-  instruments_->requests.Inc();
-  const AdmissionRelease release(*this, TryAdmit(1, /*bounded=*/false));
-  const std::uint64_t plan_key = PlanKey(model, pattern, tracked);
-  const bool cacheable = condition_fingerprint != 0;
-  const std::uint64_t result_key =
-      HashCombine(HashCombine(plan_key, kKeyMinMax), condition_fingerprint);
-  if (cacheable) {
-    if (auto hit = LookupResult(result_key)) return hit->probability;
-  }
-  const std::shared_ptr<const CachedPlan> plan =
-      PlanFor(model, pattern, tracked, plan_key);
-  const std::uint64_t start = MonotonicNowNs();
-  const double probability =
-      infer::PatternMinMaxProbWithPlan(plan->plan, condition);
-  const std::uint64_t elapsed = MonotonicNowNs() - start;
-  instruments_->execute_ns.Inc(elapsed);
-  if (options_.latency_histograms) instruments_->dp_execute_ns.Record(elapsed);
-  if (cacheable) {
-    const CachedResult cached{probability, std::nullopt};
-    result_cache_.Put(result_key, std::make_shared<const CachedResult>(cached));
-    StoreResult(result_key, cached);
-  }
-  return probability;
 }
 
 Response Server::Evaluate(const Request& request) {
@@ -1359,8 +1286,8 @@ std::vector<Response> Server::EvaluateBatch(const std::vector<Request>& requests
   // failure policy — ComputeGuarded never throws, so one bad request can't
   // take down its batch neighbors.
   std::vector<Outcome> outcomes(misses.size());
-  ParallelForWorkers(
-      misses.size(), effective_threads_, [&](unsigned, std::size_t i) {
+  ParallelFor(
+      misses.size(), effective_threads_, [&](std::size_t i) {
         Unit& unit = units[misses[i]];
         obs::TraceRecord* trace = unit.traced ? &unit.trace : nullptr;
         const bool unit_timed = timed || trace != nullptr;

@@ -7,12 +7,12 @@
 /// work at two levels:
 ///
 ///  1. **Plan cache** (sharded LRU): compiled `DpPlan`s keyed by the content
-///     fingerprint of (model, pattern, tracked). A hit skips the
+///     fingerprint of (model, pattern). A hit skips the
 ///     γ-independent compilation entirely; PR-2's compile-once / run-many
 ///     split now pays off *across* calls, not just within one. Concurrent
 ///     misses on one key coalesce into a single compilation (single-flight).
-///  2. **Result cache** (sharded LRU): full `(model, pattern, tracked,
-///     kind) → answer` memoization. A hit skips the DP execution too. Only
+///  2. **Result cache** (sharded LRU): full `(model, pattern, kind) →
+///     answer` memoization. A hit skips the DP execution too. Only
 ///     exact answers are ever cached — approximate (degraded) answers are
 ///     recomputed per request, reproducibly (see below).
 ///  3. **Circuit cache** (sharded LRU): arithmetic circuits compiled from
@@ -57,20 +57,15 @@
 /// The sampler is seeded from the request fingerprint, so repeating the
 /// request reproduces the identical approximate answer.
 ///
-/// The legacy double-returning entry points (`PatternProbability`,
-/// `MostProbableTopMatching`, `PatternMinMaxProbability`) remain
-/// trusted-caller conveniences: they skip validation, deadlines, and
-/// admission control, and keep PPREF_CHECK semantics on misuse.
-///
 /// ## Determinism guarantee
 /// Every *exact* answer is bit-identical to what a fresh per-request serial
 /// call of the underlying `infer::` function would return: the caches
-/// memoize pure functions of the request fingerprint, the batch fan-out
-/// uses the ordered (bit-identical) reduction of `infer/`, and dedup only
-/// shares answers between byte-equal requests. Caching, batching, and
-/// thread count are invisible in the output — only in the latency.
-/// Approximate answers are deterministic in the request fingerprint and
-/// sample budget (never in the thread count), and are never cached.
+/// memoize pure functions of the request fingerprint, each unique request
+/// runs the serial `infer::` path on one worker, and dedup only shares
+/// answers between byte-equal requests. Caching, batching, and the batch
+/// fan-out's worker count are invisible in the output — only in the
+/// latency. Approximate answers are deterministic in the request
+/// fingerprint and sample budget, and are never cached.
 ///
 /// ## Thread safety
 /// All entry points may be called concurrently from any number of threads;
@@ -89,14 +84,12 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "ppref/common/deadline.h"
 #include "ppref/common/status.h"
 #include "ppref/infer/labeled_rim.h"
 #include "ppref/infer/matching.h"
-#include "ppref/infer/minmax_condition.h"
 #include "ppref/infer/pattern.h"
 #include "ppref/obs/metrics.h"
 #include "ppref/obs/trace.h"
@@ -115,7 +108,7 @@ namespace ppref::serve {
 struct ServerOptions {
   /// Total compiled-plan budget. Plans are the expensive entries (a plan
   /// owns copies of its model and pattern); size this to the working set of
-  /// distinct (model, pattern, tracked) triples.
+  /// distinct (model, pattern) pairs.
   std::size_t plan_cache_capacity = 256;
   /// Total memoized-answer budget. Answers are tiny; size generously.
   std::size_t result_cache_capacity = 8192;
@@ -126,8 +119,9 @@ struct ServerOptions {
   std::size_t circuit_cache_capacity = 64;
   /// Shards per cache (rounded up to a power of two).
   unsigned cache_shards = 8;
-  /// Worker threads for the batch fan-out. 0 = auto; clamped to hardware
-  /// concurrency (ppref::ClampThreads).
+  /// Worker threads of the two fan-outs: EvaluateBatch's unique requests
+  /// and the hard tier's sample blocks. 0 = auto; clamped to hardware
+  /// concurrency (ppref::ClampThreads). Answers never depend on it.
   unsigned threads = 0;
 
   /// Default per-request deadline in nanoseconds, applied when a request
@@ -301,27 +295,6 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Pr(g | σ, Π, λ), memoized. Trusted-caller path (aborts on misuse).
-  double PatternProbability(const infer::LabeledRimModel& model,
-                            const infer::LabelPattern& pattern);
-
-  /// The most probable top matching, memoized. Same contract as
-  /// infer::MostProbableTopMatching. Trusted-caller path.
-  std::optional<std::pair<infer::Matching, double>> MostProbableTopMatching(
-      const infer::LabeledRimModel& model, const infer::LabelPattern& pattern);
-
-  /// Pr(g ∧ φ), memoized. `condition_fingerprint` must identify φ: equal
-  /// fingerprints assert equal predicates (the server cannot hash a
-  /// std::function, so the caller names it — e.g. hash of "top-3(Clinton)").
-  /// Pass a fingerprint of 0 to bypass the result cache (unnameable φ);
-  /// the plan cache still applies, keyed by (model, pattern, tracked).
-  /// Trusted-caller path.
-  double PatternMinMaxProbability(const infer::LabeledRimModel& model,
-                                  const infer::LabelPattern& pattern,
-                                  const std::vector<infer::LabelId>& tracked,
-                                  const infer::MinMaxCondition& condition,
-                                  std::uint64_t condition_fingerprint);
-
   /// Serves one request through the full fault-tolerant pipeline
   /// (validation, admission, deadline, degradation). Never throws; the
   /// response's status is the single source of truth.
@@ -466,22 +439,15 @@ class Server {
   Status Protect(const Body& body);
 
   /// Claims up to `want` in-flight slots against max_in_flight (all of them
-  /// when unbounded, or when `bounded` is false: the trusted-caller entry
-  /// points are counted but never shed); returns how many were granted and
-  /// maintains the peak watermark. Pair with AdmissionRelease.
-  std::size_t TryAdmit(std::size_t want, bool bounded = true);
+  /// when unbounded); returns how many were granted and maintains the peak
+  /// watermark. Pair with AdmissionRelease.
+  std::size_t TryAdmit(std::size_t want);
 
   /// RAII release of TryAdmit'ed slots.
   class AdmissionRelease;
 
   /// Heuristic retry-after hint: observed mean per-request busy time.
   std::uint64_t RetryAfterHintNs() const;
-
-  /// The trusted-caller path behind PatternProbability and
-  /// MostProbableTopMatching: the memoized exact answer, computed on a miss.
-  std::shared_ptr<const CachedResult> Memoized(
-      const infer::LabeledRimModel& model, const infer::LabelPattern& pattern,
-      Request::Kind kind);
 
   /// Result-cache probe (respects forced-miss fault injection). On an LRU
   /// miss with a store configured, consults the store and promotes a decoded
@@ -499,16 +465,15 @@ class Server {
   /// Write-behind of one exact answer.
   void StoreResult(std::uint64_t result_key, const CachedResult& result);
 
-  /// Looks up or compiles the plan for (model, pattern, tracked), timing
+  /// Looks up or compiles the plan for (model, pattern), timing
   /// compilation into the compile instruments. Single-flight per key; a
   /// non-null `control` bounds both the compile and the wait for another
   /// thread's compile (throws DeadlineExceededError / CancelledError). A
   /// non-null `trace` receives the plan_compile / cache_wait spans.
   std::shared_ptr<const CachedPlan> PlanFor(
       const infer::LabeledRimModel& model, const infer::LabelPattern& pattern,
-      const std::vector<infer::LabelId>& tracked, std::uint64_t plan_key,
-      const RunControl* control = nullptr,
-      obs::TraceRecord* trace = nullptr);
+      std::uint64_t plan_key, const RunControl* control,
+      obs::TraceRecord* trace);
 
   /// Looks up or compiles the circuit for (model structure, labeling,
   /// pattern), going through PlanFor for the underlying plan (so a sweep
@@ -522,8 +487,7 @@ class Server {
   /// Computes one request exactly (plan lookup + DP execution, timed).
   /// Throws DeadlineExceededError / CancelledError via `control`.
   CachedResult Compute(const Request& request, std::uint64_t plan_key,
-                       const RunControl* control = nullptr,
-                       obs::TraceRecord* trace = nullptr);
+                       const RunControl* control, obs::TraceRecord* trace);
 
   /// Compute wrapped in the failure policy: catches stop exceptions, applies
   /// the degradation policy, maps everything to a terminal Outcome. Never

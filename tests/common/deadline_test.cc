@@ -1,7 +1,7 @@
 /// \file deadline_test.cc
 /// \brief Deadline / CancellationToken / RunControl / StopCheck semantics,
-/// plus the control-aware ParallelForWorkers overload (workers join before
-/// the stop exception rethrows).
+/// plus ParallelFor bodies that stop through RunControl::Check() (workers
+/// join before the stop exception rethrows).
 
 #include "ppref/common/deadline.h"
 
@@ -9,7 +9,6 @@
 
 #include <atomic>
 #include <thread>
-#include <vector>
 
 #include "ppref/common/parallel.h"
 
@@ -97,21 +96,22 @@ TEST(StopCheckTest, ChecksEveryStrideTicks) {
 TEST(ParallelControlTest, WorkersStopAndJoinOnCancel) {
   // A token fired mid-run must (a) surface as CancelledError on the calling
   // thread and (b) leave no worker running — every slot a worker completed
-  // stays valid, nothing tears.
+  // stays valid, nothing tears. Each iteration polls first, as
+  // hard::RunSeededBlocks does.
   CancellationToken token;
   RunControl control;
   control.cancel = &token;
   std::atomic<std::size_t> completed{0};
   try {
-    ParallelForWorkers(10'000, 4, &control,
-                       [&](unsigned, std::size_t i) {
-                         if (i == 17) token.Cancel();
-                         completed.fetch_add(1, std::memory_order_relaxed);
-                       });
+    ParallelFor(10'000, 4, [&](std::size_t i) {
+      control.Check();
+      if (i == 17) token.Cancel();
+      completed.fetch_add(1, std::memory_order_relaxed);
+    });
     FAIL() << "expected CancelledError";
   } catch (const CancelledError&) {
   }
-  // Join happened inside ParallelForWorkers: the counter is final now and
+  // Join happened inside ParallelFor: the counter is final now and
   // strictly below the full count (the stop really cut the run short).
   const std::size_t after = completed.load();
   EXPECT_LT(after, 10'000u);
@@ -122,20 +122,13 @@ TEST(ParallelControlTest, ExpiredDeadlineStopsBeforeAnyIteration) {
   RunControl control;
   control.deadline = Deadline::After(0);
   std::atomic<std::size_t> ran{0};
-  EXPECT_THROW(
-      ParallelForWorkers(100, 2, &control,
-                         [&](unsigned, std::size_t) {
-                           ran.fetch_add(1, std::memory_order_relaxed);
-                         }),
-      DeadlineExceededError);
+  EXPECT_THROW(ParallelFor(100, 2,
+                           [&](std::size_t) {
+                             control.Check();
+                             ran.fetch_add(1, std::memory_order_relaxed);
+                           }),
+               DeadlineExceededError);
   EXPECT_EQ(ran.load(), 0u);
-}
-
-TEST(ParallelControlTest, NullControlRunsToCompletion) {
-  std::vector<int> seen(500, 0);
-  ParallelForWorkers(seen.size(), 4, nullptr,
-                     [&](unsigned, std::size_t i) { seen[i] = 1; });
-  for (int s : seen) EXPECT_EQ(s, 1);
 }
 
 }  // namespace

@@ -55,10 +55,5 @@ TEST(ParallelForTest, ExceptionsPropagate) {
                std::runtime_error);
 }
 
-TEST(ParallelForTest, DefaultThreadCountIsPositiveAndBounded) {
-  EXPECT_GE(DefaultThreadCount(), 1u);
-  EXPECT_LE(DefaultThreadCount(), 8u);
-}
-
 }  // namespace
 }  // namespace ppref

@@ -1,8 +1,7 @@
 /// \file dp_plan_test.cc
 /// \brief Tests for the compile-once / run-many DP plan: plan reuse across
-/// candidate matchings, bit-identical matching-level parallelism, the
-/// packed-state engine against the brute-force oracle, and the FlatStateMap
-/// substrate itself.
+/// candidate matchings, stop polling between runs, the packed-state engine
+/// against the brute-force oracle, and the FlatStateMap substrate itself.
 
 #include "ppref/infer/internal/dp_plan.h"
 
@@ -15,7 +14,6 @@
 #include "ppref/common/flat_map.h"
 #include "ppref/infer/brute_force.h"
 #include "ppref/infer/internal/dp_engine.h"
-#include "ppref/infer/label_distributions.h"
 #include "ppref/infer/top_prob.h"
 #include "ppref/infer/top_prob_minmax.h"
 #include "ppref/rim/mallows.h"
@@ -112,67 +110,29 @@ TEST(DpPlanTest, PlanReuseWithTrackedLabelsMatchesFreshRuns) {
   }
 }
 
-TEST(DpPlanTest, ParallelPatternProbIsBitIdenticalToSerial) {
-  // (b) Matching-level parallelism with ordered reduction: every thread
-  // count must reproduce the serial doubles bit for bit, across m and k.
-  Rng rng(79);
-  for (int trial = 0; trial < 12; ++trial) {
-    const unsigned m = 4 + static_cast<unsigned>(rng.NextIndex(5));
-    const unsigned k = 1 + static_cast<unsigned>(rng.NextIndex(3));
-    const auto model = ppref::testing::RandomLabeledMallows(m, 0.7, k, 0.6, rng);
-    const auto pattern = ppref::testing::RandomDagPattern(k, 0.5, rng);
-    const double serial = PatternProb(model, pattern);
-    for (unsigned threads : {2u, 3u, 8u}) {
-      PatternProbOptions options;
-      options.threads = threads;
-      ASSERT_EQ(PatternProb(model, pattern, options), serial)
-          << "trial " << trial << " threads " << threads;
-    }
+TEST(DpPlanTest, FiredTokenStopsARequestOfShortRuns) {
+  // 16 candidate runs, each too short to reach the amortized StopCheck's
+  // first poll, so only the poll at the start of each run can stop the
+  // request.
+  constexpr unsigned kItems = 8;
+  ItemLabeling labeling(kItems);
+  for (unsigned item = 0; item < kItems; ++item) {
+    labeling.AddLabel(item, item % 2);
   }
-}
-
-TEST(DpPlanTest, ParallelMinMaxAndMostProbableAreBitIdenticalToSerial) {
-  Rng rng(83);
-  const MinMaxCondition condition = [](const MinMaxValues& values) {
-    return values.max_position[0].has_value() &&
-           *values.max_position[0] >= 2;
-  };
-  for (int trial = 0; trial < 10; ++trial) {
-    const unsigned m = 4 + static_cast<unsigned>(rng.NextIndex(4));
-    const auto model = ppref::testing::RandomLabeledRim(m, 2, 0.6, rng);
-    const auto pattern = ppref::testing::RandomDagPattern(2, 0.5, rng);
-    PatternProbOptions parallel;
-    parallel.threads = 4;
-    const std::vector<LabelId> tracked = {1};
-    ASSERT_EQ(
-        PatternMinMaxProb(model, pattern, tracked, condition, parallel),
-        PatternMinMaxProb(model, pattern, tracked, condition))
-        << "trial " << trial;
-    const auto serial_best = MostProbableTopMatching(model, pattern);
-    const auto parallel_best = MostProbableTopMatching(model, pattern, parallel);
-    ASSERT_EQ(serial_best.has_value(), parallel_best.has_value());
-    if (serial_best.has_value()) {
-      EXPECT_EQ(serial_best->first, parallel_best->first);
-      EXPECT_EQ(serial_best->second, parallel_best->second);
-    }
-  }
-}
-
-TEST(DpPlanTest, ParallelPatternLabelPositionsIsBitIdenticalToSerial) {
-  Rng rng(89);
-  for (int trial = 0; trial < 8; ++trial) {
-    const unsigned m = 4 + static_cast<unsigned>(rng.NextIndex(3));
-    const auto model = ppref::testing::RandomLabeledRim(m, 3, 0.6, rng);
-    const auto pattern = ppref::testing::RandomDagPattern(2, 0.5, rng);
-    PatternProbOptions parallel;
-    parallel.threads = 4;
-    const auto serial = PatternLabelPositions(model, pattern, 2);
-    const auto threaded = PatternLabelPositions(model, pattern, 2, parallel);
-    ASSERT_EQ(serial.absent_prob, threaded.absent_prob) << "trial " << trial;
-    ASSERT_EQ(serial.joint, threaded.joint) << "trial " << trial;
-    ASSERT_EQ(serial.min_marginal, threaded.min_marginal);
-    ASSERT_EQ(serial.max_marginal, threaded.max_marginal);
-  }
+  const LabeledRimModel model(
+      rim::MallowsModel(rim::Ranking::Identity(kItems), 0.5).rim(), labeling);
+  LabelPattern chain;
+  chain.AddNode(0);
+  chain.AddNode(1);
+  chain.AddEdge(0, 1);
+  ASSERT_EQ(CandidateTopMatchings(model, chain).size(), 16u);
+  CancellationToken token;
+  token.Cancel();
+  RunControl control;
+  control.cancel = &token;
+  PatternProbOptions options;
+  options.control = &control;
+  EXPECT_THROW(PatternProb(model, chain, options), CancelledError);
 }
 
 TEST(DpPlanTest, PackedStateDpMatchesBruteForceOnSmallModels) {

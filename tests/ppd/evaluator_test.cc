@@ -114,29 +114,6 @@ TEST_F(EvaluatorTest, BooleanQueryThroughEvaluateQuery) {
   EXPECT_NEAR(answers[0].confidence, EvaluateBoolean(ppd_, q), 1e-12);
 }
 
-TEST_F(EvaluatorTest, ParallelEvaluatorBitMatchesSerial) {
-  for (const char* text : {ppref::testing::kQ1, ppref::testing::kQ3,
-                           ppref::testing::kQ4}) {
-    const auto q = ParsePaperQuery(text);
-    const double serial = EvaluateBoolean(ppd_, q);
-    for (unsigned threads : {1u, 2u, 4u, 16u}) {
-      EXPECT_EQ(EvaluateBooleanParallel(ppd_, q, threads), serial)
-          << text << " threads=" << threads;
-    }
-  }
-}
-
-TEST_F(EvaluatorTest, ParallelEvaluatorHandlesDeterministicQueries) {
-  const auto q = Parse("Q() :- Candidates(_, 'D', 'F', _)");
-  EXPECT_DOUBLE_EQ(EvaluateBooleanParallel(ppd_, q, 4), 1.0);
-}
-
-TEST_F(EvaluatorTest, ParallelEvaluatorRejectsNonItemwise) {
-  EXPECT_THROW(
-      EvaluateBooleanParallel(ppd_, ParsePaperQuery(ppref::testing::kQ2), 4),
-      SchemaError);
-}
-
 TEST_F(EvaluatorTest, PossibilityDatabaseSaturatesPairs) {
   const db::Database possibility = PossibilityDatabase(ppd_);
   // 3 sessions x 4 items x 3 = 36 ordered pairs.

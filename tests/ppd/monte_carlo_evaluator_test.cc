@@ -39,19 +39,16 @@ TEST(MonteCarloEvaluatorTest, DeterministicQueriesAreExact) {
   EXPECT_DOUBLE_EQ(estimate.std_error, 0.0);
 }
 
-TEST(MonteCarloEvaluatorTest, SeededOverloadIsThreadCountInvariant) {
-  // `threads == 0` means auto (ClampThreads) and the blocked decomposition
-  // keeps the estimate identical across thread counts.
+TEST(MonteCarloEvaluatorTest, SeededOverloadIsReproducible) {
+  // The blocked decomposition makes the estimate a pure function of
+  // (seed, samples).
   const RimPpd ppd = ElectionPpd();
   const auto q1 = ppref::testing::ParsePaperQuery(ppref::testing::kQ1);
-  infer::McOptions serial;
-  serial.samples = 4000;
-  serial.seed = 17;
-  serial.threads = 1;
-  infer::McOptions automatic = serial;
-  automatic.threads = 0;
-  const auto a = EstimateBoolean(ppd, q1, serial);
-  const auto b = EstimateBoolean(ppd, q1, automatic);
+  infer::McOptions options;
+  options.samples = 4000;
+  options.seed = 17;
+  const auto a = EstimateBoolean(ppd, q1, options);
+  const auto b = EstimateBoolean(ppd, q1, options);
   EXPECT_EQ(a.estimate, b.estimate);
   EXPECT_EQ(a.std_error, b.std_error);
   const double exact = EvaluateBoolean(ppd, q1);

@@ -401,7 +401,7 @@ TEST_F(ServeChaosInjectionTest, ConcurrentMissStormCompilesPlanOnce) {
   std::vector<double> answers(kThreads, -1.0);
   for (unsigned t = 0; t < kThreads; ++t) {
     pool.emplace_back([&, t] {
-      answers[t] = server.PatternProbability(model, pattern);
+      answers[t] = server.Evaluate(MakeRequest(model, pattern)).probability;
     });
   }
   for (std::thread& thread : pool) thread.join();

@@ -8,15 +8,18 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "ppref/common/check.h"
 #include "ppref/infer/labeled_rim.h"
 #include "ppref/infer/labeling.h"
-#include "ppref/infer/minmax_condition.h"
 #include "ppref/infer/pattern.h"
 #include "ppref/infer/top_prob.h"
-#include "ppref/infer/top_prob_minmax.h"
 #include "ppref/ppd/evaluator.h"
 #include "ppref/ppd/ppd.h"
 #include "ppref/ppd/ucq_evaluator.h"
@@ -36,6 +39,19 @@ infer::LabeledRimModel MakeModel(unsigned m, double phi) {
       rim::MallowsModel(rim::Ranking::Identity(m), phi).rim(), labeling);
 }
 
+/// A request of `kind` about (model, pattern), with default controls.
+Request MakeRequest(Request::Kind kind, const infer::LabeledRimModel& model,
+                    const infer::LabelPattern& pattern) {
+  return {kind, &model, &pattern, {}};
+}
+
+/// A kTopMatching response in infer::MostProbableTopMatching's shape.
+std::optional<std::pair<infer::Matching, double>> TopOf(
+    const Response& response) {
+  if (!response.top_matching.has_value()) return std::nullopt;
+  return std::make_pair(*response.top_matching, response.probability);
+}
+
 /// Chain pattern l0 -> l1 -> ... over the given labels.
 infer::LabelPattern Chain(const std::vector<unsigned>& labels) {
   infer::LabelPattern pattern;
@@ -52,8 +68,10 @@ TEST(ServeServerTest, PatternProbMatchesDirectInferenceAndCaches) {
   const infer::LabelPattern pattern = Chain({0, 1, 2});
   Server server;
   const double expected = infer::PatternProb(model, pattern);
-  EXPECT_EQ(server.PatternProbability(model, pattern), expected);
-  EXPECT_EQ(server.PatternProbability(model, pattern), expected);
+  const Request request =
+      MakeRequest(Request::Kind::kPatternProb, model, pattern);
+  EXPECT_EQ(server.Evaluate(request).probability, expected);
+  EXPECT_EQ(server.Evaluate(request).probability, expected);
   const ServerStats stats = server.stats();
   EXPECT_EQ(stats.requests, 2u);
   EXPECT_EQ(stats.result_cache.misses, 1u);
@@ -70,46 +88,16 @@ TEST(ServeServerTest, TopMatchingMatchesDirectInference) {
   const infer::LabelPattern pattern = Chain({2, 0});
   Server server;
   const auto expected = infer::MostProbableTopMatching(model, pattern);
-  const auto got = server.MostProbableTopMatching(model, pattern);
+  const auto got = TopOf(
+      server.Evaluate(MakeRequest(Request::Kind::kTopMatching, model, pattern)));
   ASSERT_EQ(got.has_value(), expected.has_value());
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->first, expected->first);
   EXPECT_EQ(got->second, expected->second);
   // Same (model, pattern), other kind: result miss, but the plan is shared.
-  server.PatternProbability(model, pattern);
+  server.Evaluate(MakeRequest(Request::Kind::kPatternProb, model, pattern));
   EXPECT_EQ(server.stats().plan_cache.hits, 1u);
   EXPECT_EQ(server.stats().plan_cache.insertions, 1u);
-}
-
-TEST(ServeServerTest, MinMaxMatchesDirectInferenceAndCachesByFingerprint) {
-  const infer::LabeledRimModel model = MakeModel(6, 0.4);
-  const infer::LabelPattern pattern = Chain({0, 1});
-  const std::vector<infer::LabelId> tracked = {0, 2};
-  const infer::MinMaxCondition condition = infer::AllBefore(0, 1);
-  const double expected =
-      infer::PatternMinMaxProb(model, pattern, tracked, condition);
-
-  Server server;
-  constexpr std::uint64_t kPhi = 0x414C4C42ull;  // names AllBefore(0, 1)
-  EXPECT_EQ(server.PatternMinMaxProbability(model, pattern, tracked, condition,
-                                            kPhi),
-            expected);
-  EXPECT_EQ(server.PatternMinMaxProbability(model, pattern, tracked, condition,
-                                            kPhi),
-            expected);
-  ServerStats stats = server.stats();
-  EXPECT_EQ(stats.result_cache.hits, 1u);
-  EXPECT_EQ(stats.result_cache.insertions, 1u);
-
-  // Fingerprint 0 bypasses the result cache but still reuses the plan.
-  EXPECT_EQ(
-      server.PatternMinMaxProbability(model, pattern, tracked, condition, 0),
-      expected);
-  stats = server.stats();
-  EXPECT_EQ(stats.result_cache.insertions, 1u);  // unchanged
-  // Only the uncacheable call reached the plan cache again — the result-
-  // cache hit above never needed a plan.
-  EXPECT_EQ(stats.plan_cache.hits, 1u);
 }
 
 TEST(ServeServerTest, EmptyBatchReturnsNoResponses) {
@@ -200,6 +188,66 @@ TEST(ServeServerTest, UcqThroughServerMatchesSerial) {
   EXPECT_EQ(server.stats().requests, 7u);
 }
 
+TEST(ServeServerTest, PpdEvaluatorsRefuseShedSessions) {
+  // One in-flight slot admits only the first request of each batch. The
+  // throwing ppd evaluators must surface the shed sessions instead of
+  // reading their probability as 0.
+  const ppd::RimPpd ppd = ppd::ElectionPpd();
+  const query::UnionQuery ucq = query::ParseUnionQuery(
+      "Q() :- Polls('Ann', 'Oct-5'; 'Clinton'; 'Sanders') UNION "
+      "Q() :- Polls('Ann', 'Oct-5'; 'Sanders'; 'Rubio') UNION "
+      "Q() :- Polls('Ann', 'Oct-5'; 'Rubio'; 'Trump')",
+      ppd.schema());
+  ServerOptions options;
+  options.max_in_flight = 1;
+  Server server(options);
+  // What `evaluate` throws; a SchemaError would misreport the shed as a
+  // malformed query.
+  const auto thrown = [](const auto& evaluate) -> std::string {
+    try {
+      evaluate();
+    } catch (const SchemaError& e) {
+      return std::string("SchemaError: ") + e.what();
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "no exception";
+  };
+  for (const char* text : {testing::kQ1, testing::kQ4}) {
+    const query::ConjunctiveQuery q = testing::ParsePaperQuery(text);
+    EXPECT_EQ(ppd::TryEvaluateBoolean(ppd, q, server).status().code(),
+              StatusCode::kResourceExhausted);
+    EXPECT_PRED_FORMAT2(
+        ::testing::IsSubstring, "RESOURCE_EXHAUSTED",
+        thrown([&] { ppd::EvaluateBoolean(ppd, q, server); }));
+  }
+  EXPECT_PRED_FORMAT2(
+      ::testing::IsSubstring, "RESOURCE_EXHAUSTED",
+      thrown([&] { ppd::EvaluateBooleanUnion(ppd, ucq, server); }));
+}
+
+TEST(ServeServerTest, PpdEvaluatorsSkipSessionsThatCannotMatch) {
+  // 'Nobody' is no session's item, so these patterns carry a label that
+  // marks no item. Such a session's probability is 0; the server, which
+  // refuses that label as malformed, must never see it.
+  const ppd::RimPpd ppd = ppd::ElectionPpd();
+  const query::ConjunctiveQuery absent =
+      query::ParseQuery("Q() :- Polls(v, _; 'Nobody'; r)", ppd.schema());
+  const query::UnionQuery ucq = query::ParseUnionQuery(
+      "Q() :- Polls('Ann', 'Oct-5'; 'Clinton'; 'Sanders') UNION "
+      "Q() :- Polls('Ann', 'Oct-5'; 'Nobody'; 'Rubio')",
+      ppd.schema());
+  Server server;
+  const StatusOr<ppd::BooleanResult> tried =
+      ppd::TryEvaluateBoolean(ppd, absent, server);
+  ASSERT_TRUE(tried.ok()) << tried.status().ToString();
+  EXPECT_EQ(tried->confidence, 0.0);
+  EXPECT_EQ(ppd::EvaluateBoolean(ppd, absent, server), 0.0);
+  EXPECT_EQ(ppd::EvaluateBooleanUnion(ppd, ucq, server),
+            ppd::EvaluateBooleanUnion(ppd, ucq));
+  EXPECT_EQ(server.stats().invalid, 0u);
+}
+
 TEST(ServeServerTest, ConcurrentMixedWorkloadStress) {
   // Tiny caches force constant eviction and recompilation while 8 threads
   // hammer a shared server with every entry point. Determinism contract:
@@ -235,15 +283,17 @@ TEST(ServeServerTest, ConcurrentMixedWorkloadStress) {
         const std::size_t k = (thread + round) % kWork;
         switch (round % 3) {
           case 0: {
-            if (server.PatternProbability(models[k], patterns[k]) !=
-                expected_prob[k]) {
+            if (server
+                    .Evaluate(MakeRequest(Request::Kind::kPatternProb,
+                                          models[k], patterns[k]))
+                    .probability != expected_prob[k]) {
               mismatch[thread] = true;
             }
             break;
           }
           case 1: {
-            const auto got =
-                server.MostProbableTopMatching(models[k], patterns[k]);
+            const auto got = TopOf(server.Evaluate(MakeRequest(
+                Request::Kind::kTopMatching, models[k], patterns[k])));
             if (got != expected_top[k]) mismatch[thread] = true;
             break;
           }

@@ -56,6 +56,11 @@ infer::LabeledRimModel MakeModel(unsigned m, double phi) {
       rim::MallowsModel(rim::Ranking::Identity(m), phi).rim(), labeling);
 }
 
+Request MakeRequest(Request::Kind kind, const infer::LabeledRimModel& model,
+                    const infer::LabelPattern& pattern) {
+  return {kind, &model, &pattern, {}};
+}
+
 infer::LabelPattern Chain(const std::vector<unsigned>& labels) {
   infer::LabelPattern pattern;
   std::vector<unsigned> nodes;
@@ -71,6 +76,8 @@ TEST(StoreIntegrationTest, WarmRestartAnswersFromDiskBitIdentically) {
   const infer::LabeledRimModel model = MakeModel(7, 0.6);
   const infer::LabelPattern pattern = Chain({0, 1, 2});
   const double expected = infer::PatternProb(model, pattern);
+  const Request prob = MakeRequest(Request::Kind::kPatternProb, model, pattern);
+  const Request top = MakeRequest(Request::Kind::kTopMatching, model, pattern);
 
   // Cold run: compute, populate the store, flush on shutdown.
   {
@@ -80,9 +87,8 @@ TEST(StoreIntegrationTest, WarmRestartAnswersFromDiskBitIdentically) {
     ServerOptions options;
     options.store = persistent.get();
     Server server(options);
-    EXPECT_EQ(server.PatternProbability(model, pattern), expected);
-    const auto top = server.MostProbableTopMatching(model, pattern);
-    ASSERT_TRUE(top.has_value());
+    EXPECT_EQ(server.Evaluate(prob).probability, expected);
+    ASSERT_TRUE(server.Evaluate(top).top_matching.has_value());
     const ServerStats cold = server.stats();
     EXPECT_EQ(cold.store_hits, 0u);
     EXPECT_GT(cold.store_writes, 0u);
@@ -97,9 +103,8 @@ TEST(StoreIntegrationTest, WarmRestartAnswersFromDiskBitIdentically) {
   ServerOptions options;
   options.store = persistent.get();
   Server server(options);
-  EXPECT_EQ(server.PatternProbability(model, pattern), expected);
-  const auto top = server.MostProbableTopMatching(model, pattern);
-  ASSERT_TRUE(top.has_value());
+  EXPECT_EQ(server.Evaluate(prob).probability, expected);
+  ASSERT_TRUE(server.Evaluate(top).top_matching.has_value());
   EXPECT_EQ(infer::PatternProb(model, pattern), expected);
   const ServerStats warm = server.stats();
   EXPECT_GT(warm.store_hits, 0u);
@@ -197,7 +202,10 @@ TEST(StoreIntegrationTest, PlanRecordsAreNeverRead) {
   ServerOptions options;
   options.store = persistent.get();
   Server server(options);
-  EXPECT_EQ(server.PatternProbability(model, pattern), expected);
+  EXPECT_EQ(
+      server.Evaluate(MakeRequest(Request::Kind::kPatternProb, model, pattern))
+          .probability,
+      expected);
   const ServerStats stats = server.stats();
   EXPECT_EQ(stats.store_corrupt, 0u);
   EXPECT_EQ(stats.store_misses, 1u);
@@ -208,8 +216,10 @@ TEST(StoreIntegrationTest, StorelessServerHasNoStoreTraffic) {
   const infer::LabeledRimModel model = MakeModel(6, 0.5);
   const infer::LabelPattern pattern = Chain({0, 1});
   Server server;  // default options: no store
-  EXPECT_EQ(server.PatternProbability(model, pattern),
-            infer::PatternProb(model, pattern));
+  EXPECT_EQ(
+      server.Evaluate(MakeRequest(Request::Kind::kPatternProb, model, pattern))
+          .probability,
+      infer::PatternProb(model, pattern));
   const ServerStats stats = server.stats();
   EXPECT_EQ(stats.store_hits, 0u);
   EXPECT_EQ(stats.store_misses, 0u);
